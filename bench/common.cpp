@@ -186,8 +186,7 @@ std::vector<double> cdf_fractions() {
   return {0.1, 0.25, 0.5, 0.75, 0.9, 1.0};
 }
 
-void emit_machine_provenance(eval::JsonWriter& w, int pool_threads,
-                             int shards) {
+void emit_machine_provenance(eval::JsonWriter& w, int pool_threads) {
   const auto d = linalg::backend::dispatch_info();
   w.key("machine").begin_object();
   w.key("hardware_threads")
@@ -195,7 +194,6 @@ void emit_machine_provenance(eval::JsonWriter& w, int pool_threads,
   w.key("pool_threads").value(pool_threads);
   w.key("pool_oversubscribed")
       .value(pool_threads > runtime::ThreadPool::default_thread_count());
-  if (shards > 0) w.key("shards").value(shards);
   w.key("backend_requested").value(d.requested);
   w.key("backend_selected").value(d.selected->name);
   w.key("simd_compiled").value(d.simd_compiled);

@@ -122,13 +122,10 @@ struct SystemErrors {
 /// with more pool lanes than cores and parallel speedups are not
 /// trustworthy), and the compute-backend dispatch decision (requested
 /// vs selected kernel table, whether a SIMD TU was compiled in and
-/// whether the CPU supports it, detected CPU features). `shards` > 0
-/// additionally records the largest service shard count the run used
-/// (serve benches). Keeping these next to the timings makes BENCH_*
-/// trajectories comparable across machines. Call between key/value
-/// pairs of an open object.
-void emit_machine_provenance(eval::JsonWriter& w, int pool_threads,
-                             int shards = 0);
+/// whether the CPU supports it, detected CPU features). Keeping these
+/// next to the timings makes BENCH_* trajectories comparable across
+/// machines. Call between key/value pairs of an open object.
+void emit_machine_provenance(eval::JsonWriter& w, int pool_threads);
 
 /// Writes a JSON artifact to `path`: opens the file, hands a JsonWriter
 /// to `body`, then verifies the stream flushed and the writer emitted a

@@ -1,16 +1,8 @@
 // Load generator for the serve layer: records (or loads) a CSI trace,
 // replays it as a stream of localization requests, and measures
-// sustained throughput and latency percentiles for
-//   * the single LocalizationService with batching off (max_batch = 1),
-//   * the single service with dynamic batching (--max-batch), and
-//   * a ShardedService sweep (--shards, default 1,2,4): per-shard
-//     dispatchers, sticky client routing, queue-depth admission
-//     shedding, and cross-shard work stealing.
-// It also replays the trace through ShardedService{k, dispatchers = 0}
-// in deterministic pump/drain mode for every swept k and records
-// whether the per-request results are bit-identical across shard
-// counts ("replay_shards_identical" — a correctness flag the CI smoke
-// leg greps, not a perf number). Emits BENCH_serve.json.
+// sustained throughput and latency percentiles for LocalizationService
+// with batching off (max_batch = 1) and with dynamic batching
+// (--max-batch). Emits BENCH_serve.json.
 //
 // Logical service ticks are mapped to wall microseconds here (the bench
 // owns the clock; the library never reads one). AP poses are not part
@@ -18,7 +10,6 @@
 // this bench always places APs at the paper testbed poses.
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -34,7 +25,6 @@
 #include "io/trace_reader.hpp"
 #include "io/trace_writer.hpp"
 #include "serve/service.hpp"
-#include "serve/sharded.hpp"
 #include "sim/recorder.hpp"
 #include "sim/scenario.hpp"
 #include "sim/testbed.hpp"
@@ -53,12 +43,9 @@ struct Options {
   index_t requests = 64;    ///< total submissions per mode.
   index_t max_batch = 8;    ///< dynamic-mode batch bound.
   index_t queue_capacity = 64;
-  index_t admission_depth = 0;  ///< sharded early-shed bound; 0 = capacity.
   std::uint64_t linger_us = 0;
   std::uint64_t deadline_us = 0;
   int iterations = 120;     ///< FISTA iteration cap per solve.
-  std::vector<int> shard_sweep = {1, 2, 4};
-  index_t replay_requests = 24;  ///< per-k deterministic replay check size.
   std::string trace;        ///< load this trace instead of recording.
   /// Canonical trace path: the committed artifact at the repo root.
   /// When neither --trace nor --record is given and this file exists,
@@ -68,20 +55,6 @@ struct Options {
   bool record_forced = false;  ///< --record given: always re-record.
   std::string json = "BENCH_serve.json";
 };
-
-std::vector<int> parse_int_list(const char* s) {
-  std::vector<int> out;
-  const char* p = s;
-  while (*p != '\0') {
-    char* end = nullptr;
-    const long v = std::strtol(p, &end, 10);
-    if (end == p) break;
-    out.push_back(static_cast<int>(v));
-    p = end;
-    while (*p == ',' || *p == ' ') ++p;
-  }
-  return out;
-}
 
 Options parse_options(int argc, char** argv) {
   Options o;
@@ -109,8 +82,6 @@ Options parse_options(int argc, char** argv) {
       o.max_batch = std::atoll(need_value("--max-batch"));
     } else if (std::strcmp(argv[i], "--queue-capacity") == 0) {
       o.queue_capacity = std::atoll(need_value("--queue-capacity"));
-    } else if (std::strcmp(argv[i], "--admission-depth") == 0) {
-      o.admission_depth = std::atoll(need_value("--admission-depth"));
     } else if (std::strcmp(argv[i], "--linger-us") == 0) {
       o.linger_us =
           static_cast<std::uint64_t>(std::atoll(need_value("--linger-us")));
@@ -119,10 +90,6 @@ Options parse_options(int argc, char** argv) {
           static_cast<std::uint64_t>(std::atoll(need_value("--deadline-us")));
     } else if (std::strcmp(argv[i], "--iterations") == 0) {
       o.iterations = std::atoi(need_value("--iterations"));
-    } else if (std::strcmp(argv[i], "--shards") == 0) {
-      o.shard_sweep = parse_int_list(need_value("--shards"));
-    } else if (std::strcmp(argv[i], "--replay-requests") == 0) {
-      o.replay_requests = std::atoll(need_value("--replay-requests"));
     } else if (std::strcmp(argv[i], "--trace") == 0) {
       o.trace = need_value("--trace");
     } else if (std::strcmp(argv[i], "--record") == 0) {
@@ -134,8 +101,7 @@ Options parse_options(int argc, char** argv) {
       std::printf(
           "options: --clients N --packets P --aps A --seed S --threads T\n"
           "         --requests R --max-batch B --queue-capacity Q\n"
-          "         --admission-depth D --linger-us L --deadline-us D\n"
-          "         --iterations I --shards K1,K2,... --replay-requests R\n"
+          "         --linger-us L --deadline-us D --iterations I\n"
           "         --trace PATH | --record PATH   --json PATH\n");
       std::exit(0);
     } else {
@@ -145,16 +111,9 @@ Options parse_options(int argc, char** argv) {
   }
   if (o.clients < 1 || o.packets < 1 || o.aps < 1 || o.requests < 1 ||
       o.max_batch < 1 || o.queue_capacity < 1 || o.threads < 0 ||
-      o.iterations < 1 || o.admission_depth < 0 || o.replay_requests < 1 ||
-      o.shard_sweep.empty()) {
-    std::fprintf(stderr, "all counts must be >= 1 (threads/admission >= 0)\n");
+      o.iterations < 1) {
+    std::fprintf(stderr, "all counts must be >= 1 (threads >= 0)\n");
     std::exit(2);
-  }
-  for (const int k : o.shard_sweep) {
-    if (k < 1) {
-      std::fprintf(stderr, "--shards entries must be >= 1\n");
-      std::exit(2);
-    }
   }
   return o;
 }
@@ -186,10 +145,10 @@ void record_trace(const Options& o) {
               o.record.c_str());
 }
 
-serve::ServeConfig shard_config(const std::vector<channel::ApPose>& poses,
+serve::ServeConfig serve_config(const std::vector<channel::ApPose>& poses,
                                 const dsp::ArrayConfig& array,
                                 const channel::Room& room, index_t max_batch,
-                                const Options& o, int dispatchers) {
+                                const Options& o) {
   serve::ServeConfig cfg;
   cfg.estimator.solver.max_iterations = o.iterations;
   cfg.array = array;
@@ -199,14 +158,13 @@ serve::ServeConfig shard_config(const std::vector<channel::ApPose>& poses,
   cfg.queue_capacity = o.queue_capacity;
   cfg.batch_linger_ticks = o.linger_us;
   cfg.deadline_ticks = o.deadline_us;
-  cfg.dispatchers = dispatchers;
+  cfg.dispatchers = 1;
   return cfg;
 }
 
-serve::Request make_request(const io::ClientRound& round,
-                            std::uint64_t client_id, serve::Tick tick) {
+serve::Request make_request(const io::ClientRound& round, serve::Tick tick) {
   serve::Request req;
-  req.client_id = client_id;
+  req.client_id = round.client_id;
   req.submit_tick = tick;
   req.aps.reserve(round.ap_ids.size());
   for (std::size_t a = 0; a < round.ap_ids.size(); ++a) {
@@ -217,26 +175,17 @@ serve::Request make_request(const io::ClientRound& round,
 
 struct ModeResult {
   index_t max_batch = 1;
-  int shards = 0;  ///< 0 for the single-service modes.
   double wall_ms = 0.0;
   double sustained_rps = 0.0;
   double p50_ms = 0.0, p95_ms = 0.0, p99_ms = 0.0, mean_ms = 0.0;
-  serve::ServiceStats stats;  ///< aggregate across shards when shards > 0.
-  std::uint64_t shed_admission = 0;
-  std::uint64_t steal_events = 0;
-  std::uint64_t stolen_requests = 0;
+  serve::ServiceStats stats;
 };
 
-/// Drives `svc` (LocalizationService or ShardedService — same submit /
-/// advance_time / drain / stop surface) with o.requests submissions,
-/// retrying on kQueueFull backpressure, a 100 us wall-tick pusher
-/// running alongside. `spread_clients` replaces the trace client id
-/// with the submission index so sticky routing exercises every shard
-/// (the committed trace holds only a handful of distinct clients).
-/// Returns the wall time; the caller snapshots stats afterwards.
-template <typename Service>
-double run_load(Service& svc, const std::vector<io::ClientRound>& rounds,
-                const Options& o, bool spread_clients) {
+/// Drives `svc` with o.requests submissions, retrying on kQueueFull
+/// backpressure, a 100 us wall-tick pusher running alongside. Returns
+/// the wall time; the caller snapshots stats afterwards.
+double run_load(serve::LocalizationService& svc,
+                const std::vector<io::ClientRound>& rounds, const Options& o) {
   using clock = std::chrono::steady_clock;
   const auto t0 = clock::now();
   auto tick_now = [&t0] {
@@ -259,11 +208,9 @@ double run_load(Service& svc, const std::vector<io::ClientRound>& rounds,
   for (index_t r = 0; r < o.requests; ++r) {
     const io::ClientRound& round =
         rounds[static_cast<std::size_t>(r) % rounds.size()];
-    const std::uint64_t client =
-        spread_clients ? static_cast<std::uint64_t>(r) : round.client_id;
     for (;;) {
       const serve::SubmitStatus st =
-          svc.submit(make_request(round, client, tick_now()), {});
+          svc.submit(make_request(round, tick_now()), {});
       if (st == serve::SubmitStatus::kAccepted) break;
       if (st != serve::SubmitStatus::kQueueFull) {
         std::fprintf(stderr, "submit rejected: %s\n",
@@ -301,7 +248,7 @@ ModeResult run_mode(const std::vector<io::ClientRound>& rounds,
                     const std::vector<channel::ApPose>& poses,
                     const dsp::ArrayConfig& array, const channel::Room& room,
                     index_t max_batch, const Options& o) {
-  serve::ServeConfig cfg = shard_config(poses, array, room, max_batch, o, 1);
+  const serve::ServeConfig cfg = serve_config(poses, array, room, max_batch, o);
 
   // Fresh runtime per mode so neither benefits from the other's warmup;
   // the operator is pre-built so both start warm.
@@ -312,97 +259,14 @@ ModeResult run_mode(const std::vector<io::ClientRound>& rounds,
 
   ModeResult m;
   m.max_batch = max_batch;
-  const double wall_ms = run_load(svc, rounds, o, /*spread_clients=*/false);
+  const double wall_ms = run_load(svc, rounds, o);
   fill_metrics(m, svc.stats(), wall_ms);
   return m;
-}
-
-ModeResult run_shard_mode(const std::vector<io::ClientRound>& rounds,
-                          const std::vector<channel::ApPose>& poses,
-                          const dsp::ArrayConfig& array,
-                          const channel::Room& room, int shards,
-                          const Options& o) {
-  serve::ShardedConfig cfg;
-  cfg.shard = shard_config(poses, array, room, o.max_batch, o, 1);
-  cfg.shards = shards;
-  cfg.admission_depth = o.admission_depth;
-
-  runtime::ThreadPool pool(effective_threads(o));
-  serve::ShardedService svc(cfg, &pool);
-
-  ModeResult m;
-  m.max_batch = o.max_batch;
-  m.shards = shards;
-  const double wall_ms = run_load(svc, rounds, o, /*spread_clients=*/true);
-  const serve::ShardedStats stats = svc.stats();
-  fill_metrics(m, stats.aggregate, wall_ms);
-  m.shed_admission = stats.shed_admission;
-  m.steal_events = stats.steal_events;
-  m.stolen_requests = stats.stolen_requests;
-  return m;
-}
-
-// --- deterministic replay fingerprint ---------------------------------------
-
-/// Bit pattern of every numeric field of a response, in a fixed order,
-/// so two replays can be compared for exact equality.
-std::vector<std::uint64_t> response_bits(const serve::Response& r) {
-  std::vector<std::uint64_t> bits;
-  bits.push_back(static_cast<std::uint64_t>(r.status));
-  bits.push_back(r.client_id);
-  bits.push_back(r.location.valid ? 1u : 0u);
-  bits.push_back(std::bit_cast<std::uint64_t>(r.location.position.x));
-  bits.push_back(std::bit_cast<std::uint64_t>(r.location.position.y));
-  bits.push_back(std::bit_cast<std::uint64_t>(r.location.cost));
-  for (const serve::ApEstimate& ae : r.ap_estimates) {
-    bits.push_back(ae.ap_id);
-    bits.push_back(ae.valid ? 1u : 0u);
-    bits.push_back(std::bit_cast<std::uint64_t>(ae.aoa_deg));
-    bits.push_back(std::bit_cast<std::uint64_t>(ae.toa_s));
-    bits.push_back(std::bit_cast<std::uint64_t>(ae.power));
-    bits.push_back(std::bit_cast<std::uint64_t>(ae.weight));
-  }
-  return bits;
-}
-
-/// Replays `n` requests through ShardedService{shards, dispatchers=0}
-/// in deterministic pump/drain mode (logical ticks = submission index)
-/// and returns the per-submission result fingerprints.
-std::vector<std::vector<std::uint64_t>> replay_fingerprint(
-    const std::vector<io::ClientRound>& rounds,
-    const std::vector<channel::ApPose>& poses, const dsp::ArrayConfig& array,
-    const channel::Room& room, int shards, index_t n, const Options& o) {
-  serve::ShardedConfig cfg;
-  cfg.shard = shard_config(poses, array, room, o.max_batch, o,
-                           /*dispatchers=*/0);
-  cfg.shards = shards;
-  serve::ShardedService svc(cfg);
-  std::vector<std::vector<std::uint64_t>> slots(static_cast<std::size_t>(n));
-  for (index_t r = 0; r < n; ++r) {
-    const io::ClientRound& round =
-        rounds[static_cast<std::size_t>(r) % rounds.size()];
-    auto* slot = &slots[static_cast<std::size_t>(r)];
-    const serve::SubmitStatus st = svc.submit(
-        make_request(round, static_cast<std::uint64_t>(r),
-                     static_cast<serve::Tick>(r)),
-        [slot](const serve::Response& resp) { *slot = response_bits(resp); });
-    if (st != serve::SubmitStatus::kAccepted) {
-      std::fprintf(stderr, "replay submit rejected: %s\n",
-                   serve::submit_status_name(st));
-      std::exit(1);
-    }
-    // Interleave processing with submission so the queue never exceeds
-    // capacity and batch formation exercises partial batches.
-    if ((r + 1) % o.max_batch == 0) (void)svc.pump();
-  }
-  svc.drain();
-  return slots;
 }
 
 void emit_mode(eval::JsonWriter& w, const ModeResult& m) {
   w.begin_object();
   w.key("max_batch").value(static_cast<std::int64_t>(m.max_batch));
-  if (m.shards > 0) w.key("shards").value(m.shards);
   w.key("wall_ms").value(m.wall_ms);
   w.key("sustained_rps").value(m.sustained_rps);
   w.key("p50_ms").value(m.p50_ms);
@@ -429,15 +293,6 @@ void emit_mode(eval::JsonWriter& w, const ModeResult& m) {
       .value(m.stats.batches > 0
                  ? size_sum / static_cast<double>(m.stats.batches)
                  : 0.0);
-  if (m.shards > 0) {
-    w.key("shed_admission")
-        .value(static_cast<std::int64_t>(m.shed_admission));
-    w.key("steal_events").value(static_cast<std::int64_t>(m.steal_events));
-    w.key("stolen_requests")
-        .value(static_cast<std::int64_t>(m.stolen_requests));
-    w.key("transferred_in")
-        .value(static_cast<std::int64_t>(m.stats.transferred_in));
-  }
   w.end_object();
 }
 
@@ -495,50 +350,9 @@ int main(int argc, char** argv) {
       dynamic.sustained_rps / std::max(batch1.sustained_rps, 1e-9);
   std::printf("dynamic batching speedup: %.2fx\n", speedup);
 
-  // Shard-count scaling sweep (dispatcher mode, 1 dispatcher per shard).
-  std::vector<ModeResult> scaling;
-  scaling.reserve(o.shard_sweep.size());
-  for (const int k : o.shard_sweep) {
-    scaling.push_back(run_shard_mode(rounds, poses, array, tb.room, k, o));
-    const ModeResult& m = scaling.back();
-    std::printf(
-        "shards=%d: %7.1f req/s  p50 %.1f ms  p95 %.1f ms  "
-        "(steals %llu, shed %llu)\n",
-        k, m.sustained_rps, m.p50_ms, m.p95_ms,
-        static_cast<unsigned long long>(m.stolen_requests),
-        static_cast<unsigned long long>(m.shed_admission));
-  }
-  bool monotonic = true;
-  for (std::size_t i = 1; i < scaling.size(); ++i) {
-    // 10% tolerance: on a single-core host every shard count contends
-    // for the same core and jitter dominates; genuine regressions are
-    // much larger than 10%.
-    if (scaling[i].sustained_rps < 0.9 * scaling[i - 1].sustained_rps) {
-      monotonic = false;
-    }
-  }
-
-  // Deterministic replay: pump/drain mode must be bit-identical across
-  // shard counts (work stealing and routing may move requests between
-  // shards, never change their results).
-  const index_t replay_n = std::min(o.replay_requests, o.requests);
-  const auto reference =
-      replay_fingerprint(rounds, poses, array, tb.room, 1, replay_n, o);
-  bool replay_identical = true;
-  for (const int k : o.shard_sweep) {
-    if (k == 1) continue;
-    const auto fp =
-        replay_fingerprint(rounds, poses, array, tb.room, k, replay_n, o);
-    if (fp != reference) replay_identical = false;
-  }
-  std::printf("deterministic replay across shard counts: %s\n",
-              replay_identical ? "bit-identical" : "MISMATCH");
-
-  const int max_shards =
-      *std::max_element(o.shard_sweep.begin(), o.shard_sweep.end());
   const bool written = bench::write_json_report(o.json, [&](eval::JsonWriter& w) {
     w.begin_object();
-    bench::emit_machine_provenance(w, pool_threads, max_shards);
+    bench::emit_machine_provenance(w, pool_threads);
     w.key("requests").value(static_cast<std::int64_t>(o.requests));
     w.key("iterations").value(o.iterations);
     w.key("trace").begin_object();
@@ -554,17 +368,6 @@ int main(int argc, char** argv) {
     w.key("dynamic");
     emit_mode(w, dynamic);
     w.key("dynamic_speedup_vs_batch1").value(speedup);
-    w.key("shard_scaling").begin_array();
-    for (const ModeResult& m : scaling) emit_mode(w, m);
-    w.end_array();
-    w.key("shard_scaling_monotonic_10pct").value(monotonic);
-    w.key("replay").begin_object();
-    w.key("requests").value(static_cast<std::int64_t>(replay_n));
-    w.key("shards_checked").begin_array();
-    for (const int k : o.shard_sweep) w.value(k);
-    w.end_array();
-    w.key("replay_shards_identical").value(replay_identical);
-    w.end_object();
     w.end_object();
   });
   if (!written) return 1;

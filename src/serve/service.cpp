@@ -9,6 +9,15 @@
 #include "channel/csi.hpp"
 
 namespace roarray::serve {
+namespace {
+
+bool all_finite(const linalg::CMat& m) {
+  return std::all_of(m.data(), m.data() + m.size(), [](const linalg::cxd& z) {
+    return std::isfinite(z.real()) && std::isfinite(z.imag());
+  });
+}
+
+}  // namespace
 
 const char* submit_status_name(SubmitStatus status) noexcept {
   switch (status) {
@@ -78,8 +87,10 @@ SubmitStatus LocalizationService::submit(Request req, ResponseCallback on_done) 
       break;
     }
     for (const linalg::CMat& csi : ap.packets) {
+      // A NaN/inf sample would otherwise turn its AP's estimate invalid
+      // downstream and silently shrink the fix to fewer APs.
       if (csi.rows() != cfg_.array.num_antennas ||
-          csi.cols() != cfg_.array.num_subcarriers) {
+          csi.cols() != cfg_.array.num_subcarriers || !all_finite(csi)) {
         invalid = true;
         break;
       }
@@ -390,47 +401,6 @@ ServiceStats LocalizationService::stats() const {
 index_t LocalizationService::queue_depth() const {
   runtime::MutexLock lk(mutex_);
   return static_cast<index_t>(queue_.size());
-}
-
-index_t LocalizationService::load() const {
-  runtime::MutexLock lk(mutex_);
-  return static_cast<index_t>(queue_.size()) +
-         static_cast<index_t>(in_flight_);
-}
-
-std::vector<Transfer> LocalizationService::steal(index_t max_n) {
-  std::vector<Transfer> out;
-  runtime::MutexLock lk(mutex_);
-  while (!queue_.empty() && static_cast<index_t>(out.size()) < max_n) {
-    Pending p = std::move(queue_.back());
-    queue_.pop_back();
-    out.push_back({std::move(p.req), std::move(p.on_done)});
-  }
-  // Popped newest-first; hand them over oldest-first so the receiver
-  // preserves their relative submission order.
-  std::reverse(out.begin(), out.end());
-  stats_.transferred_out += out.size();
-  // Stealing the whole backlog makes this service quiescent: wake any
-  // drain()/stop() waiting for that.
-  if (queue_.empty() && in_flight_ == 0) idle_cv_.notify_all();
-  return out;
-}
-
-SubmitStatus LocalizationService::submit_transfer(Transfer&& t) {
-  runtime::MutexLock lk(mutex_);
-  if (t.req.submit_tick > now_) now_ = t.req.submit_tick;
-  if (stopping_) {
-    ++stats_.rejected_stopped;
-    return SubmitStatus::kStopped;
-  }
-  Pending p;
-  p.request_id = next_request_id_++;
-  p.req = std::move(t.req);
-  p.on_done = std::move(t.on_done);
-  queue_.push_back(std::move(p));
-  ++stats_.transferred_in;
-  ready_cv_.notify_one();
-  return SubmitStatus::kAccepted;
 }
 
 }  // namespace roarray::serve

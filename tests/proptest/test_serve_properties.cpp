@@ -1,17 +1,17 @@
 // Serve-layer properties.
 //
-// Differential: ShardedReplayMatchesSingleService — any generated
-// workload pushed through ShardedService{k, dispatchers = 0} in
+// Differential: BatchGroupingLeavesResultsBitIdentical — any generated
+// workload pushed through LocalizationService{dispatchers = 0} in
 // deterministic pump/drain mode produces per-submission responses
-// bit-identical to a single LocalizationService{dispatchers = 0} run
-// of the same submissions, for k in {1, 2, 4}. Routing, admission
-// order, work stealing, and batch grouping all vary with k; results
-// must not (DESIGN.md §10 replay-determinism contract).
+// bit-identical to a max_batch = 1, linger = 0 run of the same
+// submissions, for max_batch in {1, 2, 4, 8} under the workload's
+// linger. Batch grouping varies with both; results must not (DESIGN.md
+// §10 replay-determinism contract).
 //
-// Concurrent: randomized submitter threads against a dispatcher-mode
-// ShardedService over a shared pool — the leg the TSan build
-// instruments. Accounting invariants (callbacks == completions ==
-// accepted net of transfers; transfer conservation) are checked after
+// Concurrent: randomized submitter threads against a service with two
+// dispatchers over a shared pool and operator cache — the leg the TSan
+// build instruments. Accounting invariants (accepted + queue-full ==
+// submitted, callbacks == completions == accepted) are checked after
 // stop(); threads only touch atomics, never gtest asserts.
 #include <gtest/gtest.h>
 
@@ -28,16 +28,16 @@
 #include "channel/csi.hpp"
 #include "channel/multipath.hpp"
 #include "proptest.hpp"
+#include "runtime/operator_cache.hpp"
 #include "runtime/thread_pool.hpp"
 #include "serve/service.hpp"
-#include "serve/sharded.hpp"
 
 namespace pt = roarray::proptest;
 
 namespace roarray {
 namespace {
 
-/// Small per-shard configuration (mirrors tests/serve): coarse grids,
+/// Small configuration (mirrors tests/serve): coarse grids,
 /// few iterations, two APs — one solve costs a few milliseconds.
 serve::ServeConfig tiny_serve_config(int dispatchers) {
   serve::ServeConfig cfg;
@@ -102,7 +102,7 @@ std::vector<std::uint64_t> response_bits(const serve::Response& r) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: sharded pump/drain replay vs the single service.
+// Differential: batch grouping vs one request per batch.
 
 struct Submission {
   std::uint64_t client_id = 0;
@@ -112,18 +112,18 @@ struct Submission {
 
 struct ServeWorkload {
   std::vector<Submission> subs;
-  int pump_every = 2;        ///< pump() after every this-many submissions.
-  int steal_min_backlog = 1;
+  int pump_every = 2;            ///< pump() after every this-many submissions.
+  serve::Tick linger_ticks = 0;  ///< batch linger of the grouped runs.
 };
 
 pt::Gen<ServeWorkload> workload_gen() {
   return [](pt::Rng& rng) {
     ServeWorkload w;
-    std::uniform_int_distribution<int> n_dist(1, 6);
+    std::uniform_int_distribution<int> n_dist(1, 9);
     std::uniform_int_distribution<std::uint64_t> client_dist(0, 7);
     std::uniform_int_distribution<serve::Tick> gap_dist(0, 3);
     std::uniform_int_distribution<int> pump_dist(1, 4);
-    std::uniform_int_distribution<int> backlog_dist(1, 3);
+    std::uniform_int_distribution<serve::Tick> linger_dist(0, 4);
     const int n = n_dist(rng);
     serve::Tick tick = 0;
     for (int i = 0; i < n; ++i) {
@@ -131,13 +131,14 @@ pt::Gen<ServeWorkload> workload_gen() {
       w.subs.push_back({client_dist(rng), tick, rng()});
     }
     w.pump_every = pump_dist(rng);
-    w.steal_min_backlog = backlog_dist(rng);
+    w.linger_ticks = linger_dist(rng);
     return w;
   };
 }
 
 /// Shrink by dropping one submission at a time, then by pumping after
-/// every submission (the simplest interleaving).
+/// every submission (the simplest interleaving), then by dispatching
+/// greedily.
 pt::Shrinker<ServeWorkload> workload_shrinker() {
   return [](const ServeWorkload& w) {
     std::vector<ServeWorkload> out;
@@ -151,6 +152,11 @@ pt::Shrinker<ServeWorkload> workload_shrinker() {
       c.pump_every = 1;
       out.push_back(std::move(c));
     }
+    if (w.linger_ticks != 0) {
+      ServeWorkload c = w;
+      c.linger_ticks = 0;
+      out.push_back(std::move(c));
+    }
     return out;
   };
 }
@@ -158,8 +164,8 @@ pt::Shrinker<ServeWorkload> workload_shrinker() {
 pt::Show<ServeWorkload> workload_show() {
   return [](const ServeWorkload& w) {
     std::ostringstream os;
-    os << "pump_every=" << w.pump_every
-       << " steal_min_backlog=" << w.steal_min_backlog << " subs=[";
+    os << "pump_every=" << w.pump_every << " linger=" << w.linger_ticks
+       << " subs=[";
     for (const Submission& s : w.subs) {
       os << "(c" << s.client_id << ",t" << s.tick << ",s" << s.seed << ")";
     }
@@ -168,14 +174,17 @@ pt::Show<ServeWorkload> workload_show() {
   };
 }
 
-/// Runs the workload through `svc` (single or sharded — same surface),
-/// pumping at the workload's cadence, and returns the per-submission
-/// fingerprints. Every submission must be accepted (queue capacities
-/// are far above the generated sizes).
-template <typename Service>
+/// Runs the workload through a fresh manual-mode service, pumping at the
+/// workload's cadence, and fills the per-submission fingerprints. Every
+/// submission must be accepted (the queue capacity is far above the
+/// generated sizes).
 std::optional<std::string> run_workload(
-    Service& svc, const ServeWorkload& w,
-    std::vector<std::vector<std::uint64_t>>& slots) {
+    linalg::index_t max_batch, serve::Tick linger,
+    const ServeWorkload& w, std::vector<std::vector<std::uint64_t>>& slots) {
+  serve::ServeConfig cfg = tiny_serve_config(0);
+  cfg.max_batch = max_batch;
+  cfg.batch_linger_ticks = linger;
+  serve::LocalizationService svc(cfg);
   slots.assign(w.subs.size(), {});
   for (std::size_t i = 0; i < w.subs.size(); ++i) {
     const Submission& s = w.subs[i];
@@ -201,35 +210,27 @@ std::optional<std::string> run_workload(
   return std::nullopt;
 }
 
-TEST(ServeProperties, ShardedReplayMatchesSingleService) {
+TEST(ServeProperties, BatchGroupingLeavesResultsBitIdentical) {
   pt::CheckConfig cfg;
-  cfg.cases = 6;  // each case runs 4 full service replays
+  cfg.cases = 6;  // each case runs 5 full service replays
   pt::check<ServeWorkload>(
-      "sharded pump/drain replay is bit-identical to the single service",
+      "pump/drain responses are bit-identical at every batch grouping",
       workload_gen(),
       [](const ServeWorkload& w) -> std::optional<std::string> {
         std::vector<std::vector<std::uint64_t>> reference;
-        {
-          serve::LocalizationService svc(tiny_serve_config(0));
-          if (auto err = run_workload(svc, w, reference)) {
-            return "single service: " + *err;
-          }
+        if (auto err = run_workload(1, 0, w, reference)) {
+          return "max_batch=1 linger=0: " + *err;
         }
-        for (const int k : {1, 2, 4}) {
-          serve::ShardedConfig scfg;
-          scfg.shard = tiny_serve_config(0);
-          scfg.shards = k;
-          scfg.steal_min_backlog = w.steal_min_backlog;
-          serve::ShardedService svc(scfg);
+        for (const linalg::index_t max_batch : {1, 2, 4, 8}) {
+          const std::string label = "max_batch=" + std::to_string(max_batch);
           std::vector<std::vector<std::uint64_t>> got;
-          if (auto err = run_workload(svc, w, got)) {
-            return "shards=" + std::to_string(k) + ": " + *err;
+          if (auto err = run_workload(max_batch, w.linger_ticks, w, got)) {
+            return label + ": " + *err;
           }
           for (std::size_t i = 0; i < reference.size(); ++i) {
             if (got[i] != reference[i]) {
-              return "shards=" + std::to_string(k) + ": submission " +
-                     std::to_string(i) +
-                     " differs bitwise from the single-service result";
+              return label + ": submission " + std::to_string(i) +
+                     " differs bitwise from the one-per-batch result";
             }
           }
         }
@@ -239,13 +240,13 @@ TEST(ServeProperties, ShardedReplayMatchesSingleService) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrent submitters against dispatcher-mode shards (TSan target).
+// Concurrent submitters against a two-dispatcher service (TSan target).
 
 struct ConcurrentPlan {
-  int submitters = 2;        ///< 2..3 threads.
-  int per_thread = 2;        ///< 2..4 submissions each.
-  int shards = 2;
-  linalg::index_t admission_depth = 0;  ///< 0 = shed only at queue capacity.
+  int submitters = 2;  ///< 2..3 threads.
+  int per_thread = 2;  ///< 2..4 submissions each.
+  /// 1..4: small enough that contended submits also hit kQueueFull.
+  linalg::index_t queue_capacity = 4;
   std::uint64_t seed = 1;
 };
 
@@ -254,12 +255,10 @@ pt::Gen<ConcurrentPlan> concurrent_gen() {
     ConcurrentPlan p;
     std::uniform_int_distribution<int> threads_dist(2, 3);
     std::uniform_int_distribution<int> per_dist(2, 4);
-    std::uniform_int_distribution<int> shards_dist(1, 3);
-    std::uniform_int_distribution<int> depth_dist(0, 2);
+    std::uniform_int_distribution<int> capacity_dist(1, 4);
     p.submitters = threads_dist(rng);
     p.per_thread = per_dist(rng);
-    p.shards = shards_dist(rng);
-    p.admission_depth = depth_dist(rng);
+    p.queue_capacity = capacity_dist(rng);
     p.seed = rng();
     return p;
   };
@@ -269,25 +268,22 @@ pt::Show<ConcurrentPlan> concurrent_show() {
   return [](const ConcurrentPlan& p) {
     std::ostringstream os;
     os << "submitters=" << p.submitters << " per_thread=" << p.per_thread
-       << " shards=" << p.shards << " admission_depth=" << p.admission_depth
-       << " seed=" << p.seed;
+       << " queue_capacity=" << p.queue_capacity << " seed=" << p.seed;
     return os.str();
   };
 }
 
-TEST(ServeProperties, ConcurrentShardedSubmitAccountsForEveryRequest) {
+TEST(ServeProperties, ConcurrentSubmitAccountsForEveryRequest) {
   pt::CheckConfig cfg;
-  cfg.cases = 4;  // each case spawns threads and real dispatcher shards
+  cfg.cases = 4;  // each case spawns submitter and dispatcher threads
   pt::check<ConcurrentPlan>(
-      "concurrent sharded submit: exactly-once callbacks and conserved "
-      "transfer accounting",
+      "concurrent submit: every request is accepted or shed, and every "
+      "accepted one completes with exactly one callback",
       concurrent_gen(),
       [](const ConcurrentPlan& p) -> std::optional<std::string> {
-        serve::ShardedConfig scfg;
-        scfg.shard = tiny_serve_config(1);
-        scfg.shard.queue_capacity = 64;
-        scfg.shards = p.shards;
-        scfg.admission_depth = p.admission_depth;
+        serve::ServeConfig scfg = tiny_serve_config(2);
+        scfg.queue_capacity = p.queue_capacity;
+        runtime::OperatorCache cache;
         runtime::ThreadPool pool(2);
 
         // Pre-synthesize every request so submitter threads only move
@@ -304,10 +300,10 @@ TEST(ServeProperties, ConcurrentShardedSubmitAccountsForEveryRequest) {
         }
 
         std::atomic<std::uint64_t> accepted{0};
-        std::atomic<std::uint64_t> shed{0};
+        std::atomic<std::uint64_t> queue_full{0};
         std::atomic<std::uint64_t> callbacks{0};
         std::atomic<std::uint64_t> unexpected{0};
-        serve::ShardedService svc(scfg, &pool);
+        serve::LocalizationService svc(scfg, {&cache, &pool});
         {
           std::vector<std::thread> threads;
           for (int t = 0; t < p.submitters; ++t) {
@@ -320,7 +316,7 @@ TEST(ServeProperties, ConcurrentShardedSubmitAccountsForEveryRequest) {
                 if (st == serve::SubmitStatus::kAccepted) {
                   accepted.fetch_add(1, std::memory_order_relaxed);
                 } else if (st == serve::SubmitStatus::kQueueFull) {
-                  shed.fetch_add(1, std::memory_order_relaxed);
+                  queue_full.fetch_add(1, std::memory_order_relaxed);
                 } else {
                   unexpected.fetch_add(1, std::memory_order_relaxed);
                 }
@@ -336,41 +332,25 @@ TEST(ServeProperties, ConcurrentShardedSubmitAccountsForEveryRequest) {
         if (unexpected.load() != 0) {
           return "submit returned a status other than accepted/queue-full";
         }
-        if (accepted.load() + shed.load() != total) {
-          return "accepted + shed != submitted";
+        if (accepted.load() + queue_full.load() != total) {
+          return "accepted + queue_full != submitted";
         }
         if (callbacks.load() != accepted.load()) {
           return "callbacks (" + std::to_string(callbacks.load()) +
                  ") != accepted (" + std::to_string(accepted.load()) + ")";
         }
-        const serve::ShardedStats stats = svc.stats();
-        if (stats.aggregate.accepted != accepted.load()) {
-          return "aggregate.accepted disagrees with the submitters";
+        const serve::ServiceStats stats = svc.stats();
+        if (stats.accepted != accepted.load() ||
+            stats.rejected_queue_full != queue_full.load()) {
+          return "service admission counters disagree with the submitters";
         }
-        if (stats.aggregate.completed_ok +
-                stats.aggregate.completed_no_observations !=
+        if (stats.completed_ok + stats.completed_no_observations !=
             accepted.load()) {
-          return "aggregate completions != accepted";
-        }
-        if (stats.aggregate.transferred_in != stats.aggregate.transferred_out) {
-          return "transfer accounting not conserved across shards";
-        }
-        if (stats.aggregate.transferred_out != stats.stolen_requests) {
-          return "router stolen_requests disagrees with shard transfers";
-        }
-        // Per-shard quiescence: completed == accepted net of transfers.
-        for (std::size_t s = 0; s < stats.per_shard.size(); ++s) {
-          const serve::ServiceStats& st = stats.per_shard[s];
-          if (st.completed_ok + st.completed_no_observations !=
-              st.accepted - st.transferred_out + st.transferred_in) {
-            return "shard " + std::to_string(s) +
-                   " completion accounting broken";
-          }
+          return "completions != accepted";
         }
         return std::nullopt;
       },
       /*shrink=*/{}, concurrent_show(), cfg);
 }
-
 }  // namespace
 }  // namespace roarray

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -123,7 +125,18 @@ TEST(ServeAdmission, RejectsMalformedRequests) {
   bad_shape.aps[0].packets[0] = linalg::CMat(2, 30);
   EXPECT_EQ(svc.submit(std::move(bad_shape), {}),
             serve::SubmitStatus::kInvalidRequest);
-  EXPECT_EQ(svc.stats().rejected_invalid, 4u);
+  // One non-finite sample in one packet of one AP (real or imaginary
+  // part) rejects the whole request rather than dropping that AP.
+  serve::Request nan_csi = clean_request(1, 0);
+  nan_csi.aps[0].packets[1](2, 5) = {std::nan(""), 0.0};
+  EXPECT_EQ(svc.submit(std::move(nan_csi), {}),
+            serve::SubmitStatus::kInvalidRequest);
+  serve::Request inf_csi = clean_request(1, 0);
+  inf_csi.aps[0].packets[0](0, 0) = {
+      0.0, std::numeric_limits<double>::infinity()};
+  EXPECT_EQ(svc.submit(std::move(inf_csi), {}),
+            serve::SubmitStatus::kInvalidRequest);
+  EXPECT_EQ(svc.stats().rejected_invalid, 6u);
   EXPECT_EQ(svc.stats().accepted, 0u);
 }
 
@@ -533,8 +546,9 @@ TEST(ServeConcurrency, StopDrainsInFlightRequests) {
   // Stop immediately: everything accepted must still complete.
   svc.stop();
   EXPECT_EQ(callbacks.load(), accepted);
-  // And stop is idempotent.
+  // And stop is idempotent; a drain after stop returns at once.
   svc.stop();
+  svc.drain();
   EXPECT_EQ(svc.submit(clean_request(99, 0), {}),
             serve::SubmitStatus::kStopped);
 }

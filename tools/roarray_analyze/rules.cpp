@@ -137,9 +137,9 @@ void check_layering(const CodeModel& model, const Specs& specs,
 // ---------------------------------------------------------------------------
 
 /// Cross-class call resolution skips method names every container,
-/// atomic, or std vocabulary type also has: resolving `shards_.size()`
-/// against `OperatorCache::size()` or `job_done_.load()` against
-/// `LocalizationService::load()` would fabricate lock edges.
+/// atomic, or std vocabulary type also has: resolving `queue_.size()`
+/// against `OperatorCache::size()` (which takes the cache lock) would
+/// fabricate a lock edge.
 [[nodiscard]] bool generic_method_name(const std::string& name) {
   static const std::set<std::string> kGeneric = {
       "size",  "empty", "clear",   "begin",      "end",        "find",

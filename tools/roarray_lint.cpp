@@ -454,17 +454,17 @@ struct Fixture {
       {"suppressed intrinsic ok", "src/dsp/y.cpp",
        "auto v = _mm_pause();  // roarray-lint: allow(intrinsics) spin hint\n",
        {}},
-      // Serve-layer pair: the sharded router is src/ code like any
-      // other — iostream debugging is flagged, while a clean header
-      // with #pragma once and leaf-lock annotations passes untouched.
-      {"iostream flagged in serve router", "src/serve/sharded.cpp",
-       "#include <iostream>\nvoid dbg() { std::cout << \"steal\\n\"; }\n",
+      // Serve-layer pair: the service is src/ code like any other —
+      // iostream debugging is flagged, while a clean header with
+      // #pragma once and leaf-lock annotations passes untouched.
+      {"iostream flagged in serve layer", "src/serve/service.cpp",
+       "#include <iostream>\nvoid dbg() { std::cout << \"batch\\n\"; }\n",
        {"no-iostream", "no-iostream"}},
-      {"annotated serve header ok", "src/serve/sharded.hpp",
-       "// router front end\n#pragma once\n"
+      {"annotated serve header ok", "src/serve/service.hpp",
+       "// streaming service\n#pragma once\n"
        "#include \"runtime/thread_annotations.hpp\"\n"
-       "class S {\n  mutable roarray::runtime::Mutex router_mutex_;\n"
-       "  bool stopping_ ROARRAY_GUARDED_BY(router_mutex_) = false;\n};\n",
+       "class S {\n  mutable roarray::runtime::Mutex mutex_;\n"
+       "  bool stopping_ ROARRAY_GUARDED_BY(mutex_) = false;\n};\n",
        {}},
   };
 
