@@ -45,9 +45,12 @@ struct Room {
     return p.x >= 0.0 && p.x <= width_m && p.y >= 0.0 && p.y <= height_m;
   }
 
+  /// Throws std::invalid_argument unless both dimensions are positive
+  /// and finite (a NaN or infinite room has no grid to search).
   void validate() const {
-    if (width_m <= 0.0 || height_m <= 0.0) {
-      throw std::invalid_argument("Room: non-positive dimensions");
+    if (!(std::isfinite(width_m) && std::isfinite(height_m)) ||
+        width_m <= 0.0 || height_m <= 0.0) {
+      throw std::invalid_argument("Room: dimensions must be positive and finite");
     }
   }
 };

@@ -78,11 +78,17 @@ struct LocalizeResult {
 /// fusion layer. Observations with non-finite AoA or non-positive /
 /// non-finite weight are screened out; if none survive the result
 /// carries a typed error status instead of a silent bogus fix. Throws
-/// std::invalid_argument on a non-positive grid step. A non-null pool
-/// splits the candidate grid by row; the per-row minima are reduced in
-/// row order with the same strict-less tie-breaking as the serial scan,
-/// so the result is identical at any thread count (the fusion refinement
-/// is single-threaded and deterministic by construction).
+/// std::invalid_argument on a non-positive or non-finite grid step and
+/// on a room Room::validate rejects.
+///
+/// The grid argmin is exact: a branch-and-bound scan over 8 x 8-cell
+/// blocks skips only blocks whose cost lower bound cannot reach the
+/// best cell found (DESIGN.md §13), and its position and cost are
+/// bit-identical to an exhaustive row-major scan that keeps the first
+/// strict minimum. The scan is serial and no longer uses `pool`; the
+/// parameter stays for source compatibility. The fusion refinement is
+/// single-threaded and deterministic by construction, so the result is
+/// the same at any thread count.
 [[nodiscard]] LocalizeResult localize(std::span<const ApObservation> observations,
                                       const LocalizeConfig& cfg,
                                       const runtime::ThreadPool* pool = nullptr);

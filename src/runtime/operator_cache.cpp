@@ -28,11 +28,8 @@ std::shared_ptr<const CachedOperator> build_cached_operator(
   auto entry = std::make_shared<CachedOperator>(CachedOperator{
       sparse::KroneckerOperator(dsp::steering_matrix_aoa(aoa_grid, array_cfg),
                                 dsp::steering_matrix_toa(toa_grid, array_cfg)),
-      0.0, CMat{}, CMat{}, CMat{}});
+      0.0});
   entry->norm_sq = sparse::operator_norm_sq(entry->op);
-  entry->left_gram = matmul(entry->op.left(), adjoint(entry->op.left()));
-  entry->right_gram = matmul(entry->op.right(), adjoint(entry->op.right()));
-  entry->row_gram = entry->op.row_gram();
   return entry;
 }
 

@@ -1,10 +1,9 @@
 // Memoization of the per-(grid, array) estimation setup.
 //
 // Every roarray_estimate call needs (1) the Kronecker steering factors
-// A_theta / A_tau of the joint operator (paper Eq. 16), (2) the
+// A_theta / A_tau of the joint operator (paper Eq. 16) and (2) the
 // power-iteration Lipschitz estimate lambda_max(S^H S) the proximal
-// solvers step against, and (3) the factor row-Grams the ADMM Woodbury
-// solve composes. None of these depend on the measurements — only on
+// solvers step against. Neither depends on the measurements — only on
 // the sampling grids and the array front end — so across packets, APs,
 // and Monte Carlo trials they are identical. The cache builds each
 // entry once and hands out a shared const pointer that is safe to use
@@ -23,16 +22,12 @@
 
 namespace roarray::runtime {
 
-using linalg::CMat;
 using linalg::index_t;
 
 /// One fully-initialized, immutable estimation setup.
 struct CachedOperator {
   sparse::KroneckerOperator op;  ///< shared joint steering operator.
   double norm_sq = 0.0;    ///< lambda_max(S^H S) from power iteration.
-  CMat left_gram;          ///< A_theta A_theta^H (M x M).
-  CMat right_gram;         ///< A_tau A_tau^H (L x L).
-  CMat row_gram;           ///< S S^H = right_gram (x) left_gram (ML x ML).
 };
 
 /// Cache key: everything the steering factors depend on. Grids compare

@@ -55,6 +55,7 @@ void ServeConfig::validate() const {
   if (latency_sample_cap < 1) {
     throw std::invalid_argument("ServeConfig: latency_sample_cap must be >= 1");
   }
+  localize.room.validate();
   if (!std::isfinite(localize.grid_step_m) || localize.grid_step_m <= 0.0) {
     throw std::invalid_argument(
         "ServeConfig: localize.grid_step_m must be positive and finite");

@@ -48,6 +48,15 @@ TEST(Room, ValidateRejectsDegenerate) {
   EXPECT_THROW((Room{5.0, -1.0}).validate(), std::invalid_argument);
 }
 
+TEST(Room, ValidateRejectsNonFinite) {
+  const double nan = std::nan("");
+  EXPECT_THROW((Room{nan, 5.0}).validate(), std::invalid_argument);
+  EXPECT_THROW((Room{5.0, nan}).validate(), std::invalid_argument);
+  EXPECT_THROW((Room{HUGE_VAL, 5.0}).validate(), std::invalid_argument);
+  EXPECT_THROW((Room{5.0, HUGE_VAL}).validate(), std::invalid_argument);
+  EXPECT_NO_THROW((Room{18.0, 12.0}).validate());
+}
+
 TEST(ApPose, AxisUnitFollowsAngle) {
   const ApPose horizontal{{0.0, 0.0}, 0.0};
   EXPECT_NEAR(horizontal.axis_unit().x, 1.0, 1e-12);

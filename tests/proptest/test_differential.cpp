@@ -7,7 +7,9 @@
 //   * the Kronecker operator matches its materialized dense matrix on
 //     random non-square sizes;
 //   * sparse recovery, MUSIC, and SpotFi agree on high-SNR scenes with
-//     well-separated paths.
+//     well-separated paths;
+//   * the pruned localization grid scan returns the exhaustive scan's
+//     argmin bit for bit.
 //
 // Metamorphic: a known input transformation must produce a known output
 // transformation —
@@ -19,8 +21,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <limits>
 #include <optional>
 #include <sstream>
@@ -31,6 +35,7 @@
 #include "channel/multipath.hpp"
 #include "core/roarray.hpp"
 #include "dsp/angles.hpp"
+#include "../grid_oracle.hpp"
 #include "generators.hpp"
 #include "loc/localize.hpp"
 #include "music/covariance.hpp"
@@ -625,6 +630,138 @@ TEST(ProptestDifferential, RobustFusionMatchesNaiveWhenAllInliers) {
         return std::nullopt;
       },
       /*shrink=*/{}, show_fusion_case, cfg);
+}
+
+// ---------------------------------------------------------------------------
+// Pruned localization grid vs the exhaustive scan: the branch-and-bound
+// argmin in loc::localize must return the exhaustive row-major
+// strict-less argmin's position and cost bit for bit, on any room, step,
+// AP layout, AoA and weight.
+
+namespace {
+
+struct GridCase {
+  roarray::loc::LocalizeConfig cfg;
+  std::vector<roarray::loc::ApObservation> obs;
+};
+
+pt::Gen<GridCase> gen_grid_case() {
+  return [](pt::Rng& rng) {
+    using roarray::channel::Vec2;
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    // 0: consistent AoAs with a little noise; 1: mutually inconsistent
+    // AoAs, so almost nothing prunes; 2: AoAs far outside [0, 180];
+    // 3: every AP on one horizontal line with its axis along +x and an
+    // exact binary step, so cells mirrored across the line tie exactly.
+    const int mode = pt::int_in_range(0, 3)(rng);
+    GridCase c;
+    c.cfg.robust = false;
+    c.cfg.room = {0.2 + 11.8 * unit(rng), 0.2 + 8.8 * unit(rng)};
+    // Mostly steps that do not divide the room (partial edge blocks);
+    // sometimes an exact binary step.
+    c.cfg.grid_step_m = mode == 3 || unit(rng) < 0.2
+                            ? pt::element_of<double>({0.125, 0.25, 0.5})(rng)
+                            : 0.07 + 0.5 * unit(rng);
+    const double step = c.cfg.grid_step_m;
+    const double w = c.cfg.room.width_m;
+    const double h = c.cfg.room.height_m;
+    const auto nx = static_cast<int>(std::floor(w / step)) + 1;
+    const auto ny = static_cast<int>(std::floor(h / step)) + 1;
+    const Vec2 target{w * unit(rng), h * unit(rng)};
+    const double mirror_y =
+        0.5 * step * static_cast<double>(pt::int_in_range(0, 2 * (ny - 1))(rng));
+    const int n = pt::int_in_range(1, 8)(rng);
+    for (int i = 0; i < n; ++i) {
+      roarray::loc::ApObservation o;
+      const double where = unit(rng);
+      if (where < 0.25) {
+        // Exactly on a grid node, built as the scan builds its cells.
+        o.pose.position = {
+            static_cast<double>(pt::int_in_range(0, nx - 1)(rng)) * step,
+            static_cast<double>(pt::int_in_range(0, ny - 1)(rng)) * step};
+      } else if (where < 0.6) {
+        o.pose.position = {w * unit(rng), h * unit(rng)};
+      } else {
+        o.pose.position = {-3.0 + (w + 6.0) * unit(rng),
+                           -3.0 + (h + 6.0) * unit(rng)};
+      }
+      o.pose.axis_deg = 360.0 * unit(rng);
+      if (mode == 3) {
+        o.pose.position.y = mirror_y;
+        o.pose.axis_deg = 0.0;
+      }
+      const double noise = 4.0 * (unit(rng) - 0.5);
+      const bool on_target =
+          roarray::channel::distance(o.pose.position, target) > 1e-6;
+      const double truth = on_target ? o.pose.aoa_of_point(target) : 90.0;
+      switch (mode) {
+        case 1: o.aoa_deg = 180.0 * unit(rng); break;
+        case 2: o.aoa_deg = truth + 360.0 * pt::int_in_range(-3, 3)(rng) +
+                            (unit(rng) < 0.5 ? 200.0 : -50.0); break;
+        default: o.aoa_deg = truth + noise; break;
+      }
+      o.weight = std::pow(10.0, -6.0 + 12.0 * unit(rng));
+      c.obs.push_back(o);
+    }
+    return c;
+  };
+}
+
+pt::Shrinker<GridCase> shrink_grid_case() {
+  return [](const GridCase& c) {
+    std::vector<GridCase> out;
+    for (auto& fewer : pt::shrink_vector<roarray::loc::ApObservation>(
+             c.obs, /*elem=*/{}, /*min_size=*/1)) {
+      GridCase smaller = c;
+      smaller.obs = std::move(fewer);
+      out.push_back(std::move(smaller));
+    }
+    return out;
+  };
+}
+
+std::string show_grid_case(const GridCase& c) {
+  std::ostringstream os;
+  os.precision(17);
+  os << "room " << c.cfg.room.width_m << " x " << c.cfg.room.height_m
+     << ", step " << c.cfg.grid_step_m << ", obs";
+  for (const auto& o : c.obs) {
+    os << " (" << o.pose.position.x << "," << o.pose.position.y << ";"
+       << o.pose.axis_deg << "; aoa " << o.aoa_deg << "; w " << o.weight
+       << ")";
+  }
+  return os.str();
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+}  // namespace
+
+TEST(ProptestDifferential, PrunedGridScanMatchesExhaustiveScan) {
+  pt::CheckConfig cfg;
+  cfg.cases = 60;
+  pt::check<GridCase>(
+      "pruned grid argmin == exhaustive row-major argmin, bit for bit",
+      gen_grid_case(),
+      [](const GridCase& c) -> std::optional<std::string> {
+        const auto oracle = roarray::testing::exhaustive_grid_argmin(c.obs, c.cfg);
+        const auto r = roarray::loc::localize(c.obs, c.cfg);
+        if (!r.valid) return "localize flagged a usable round";
+        if (!same_bits(r.position.x, oracle.position.x) ||
+            !same_bits(r.position.y, oracle.position.y) ||
+            !same_bits(r.cost, oracle.cost)) {
+          std::ostringstream os;
+          os.precision(17);
+          os << "pruned (" << r.position.x << ", " << r.position.y << ") cost "
+             << r.cost << " vs exhaustive (" << oracle.position.x << ", "
+             << oracle.position.y << ") cost " << oracle.cost;
+          return os.str();
+        }
+        return std::nullopt;
+      },
+      shrink_grid_case(), show_grid_case, cfg);
 }
 
 // ---------------------------------------------------------------------------

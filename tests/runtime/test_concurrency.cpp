@@ -47,10 +47,9 @@ TEST(ConcurrencyCache, ContendedGetYieldsOneInstancePerKey) {
         const auto entry =
             cache.get(aoa_grid_for(which), toa_grid_for(which), arr);
         ASSERT_NE(entry, nullptr);
-        // Entries are immutable once published: reading derived fields
+        // Entries are immutable once published: reading a derived field
         // from many threads at once must be race-free.
         ASSERT_GT(entry->norm_sq, 0.0);
-        ASSERT_EQ(entry->row_gram.rows(), entry->op.rows());
         if (seen[t][which] == nullptr) {
           seen[t][which] = entry.get();
         } else {

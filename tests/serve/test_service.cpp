@@ -106,6 +106,18 @@ TEST(ServeConfigValidation, RejectsNonsenseValues) {
   EXPECT_NO_THROW(small_config(0).validate());
 }
 
+// A non-finite room must be refused when the service is built, not
+// inside the first request's grid scan.
+TEST(ServeConfigValidation, RejectsNonFiniteRoom) {
+  serve::ServeConfig cfg = small_config(0);
+  cfg.localize.room.width_m = std::nan("");
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  EXPECT_THROW(serve::LocalizationService{cfg}, std::invalid_argument);
+  cfg.localize.room.width_m = 18.0;
+  cfg.localize.room.height_m = HUGE_VAL;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+}
+
 TEST(ServeAdmission, RejectsMalformedRequests) {
   serve::LocalizationService svc(small_config(0));
   // No APs at all.

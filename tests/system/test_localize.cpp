@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../grid_oracle.hpp"
 #include "sim/testbed.hpp"
 
 namespace roarray::loc {
@@ -51,6 +52,26 @@ TEST(Localize, BadGridStepThrows) {
   cfg.grid_step_m = 0.0;
   EXPECT_THROW(localize(perfect_observations({5, 5}, 3), cfg),
                std::invalid_argument);
+}
+
+TEST(Localize, NonFiniteGridStepThrows) {
+  for (const double step : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    LocalizeConfig cfg = paper_config();
+    cfg.grid_step_m = step;
+    EXPECT_THROW(localize(perfect_observations({5, 5}, 3), cfg),
+                 std::invalid_argument)
+        << "step " << step;
+  }
+}
+
+TEST(Localize, NonFiniteRoomThrows) {
+  for (const double width : {std::nan(""), HUGE_VAL}) {
+    LocalizeConfig cfg = paper_config();
+    cfg.room.width_m = width;
+    EXPECT_THROW(localize(perfect_observations({5, 5}, 3), cfg),
+                 std::invalid_argument)
+        << "width " << width;
+  }
 }
 
 TEST(Localize, TwoApsSufficeWithPerfectAngles) {
@@ -185,6 +206,81 @@ TEST(Localize, RobustFixShrugsOffOneLyingApWhereNaiveDrifts) {
   EXPECT_LT(robust_err, 0.2);
   EXPECT_LT(robust_err, naive_err);
   EXPECT_FALSE(robust.fusion.per_ap[2].inlier);
+}
+
+// Exact cost ties across blocks. With the AP axis along +x and a step
+// of 0.5 m (exact in binary), cells mirrored across the AP's row see
+// bit-identical AoAs, and so do cells whose offsets from the AP are
+// multiples of each other: (5.5, 1) and (2, 3) both lie at offset
+// k * (1.75, -1) from the AP. Four cells tie at the minimum. The first
+// in row-major order, (5.5, 1), lies in the block right of the one
+// holding (2, 3), and the scan visits that block later. It must still
+// return (5.5, 1), as the exhaustive strict-less scan does.
+TEST(Localize, ExactCostTieReturnsRowMajorFirstCell) {
+  LocalizeConfig cfg;
+  cfg.room = channel::Room{8.0, 8.0};
+  cfg.grid_step_m = 0.5;
+  cfg.robust = false;
+  ApObservation o;
+  o.pose = ApPose{{0.25, 4.0}, 0.0};
+  o.aoa_deg = 30.0;
+  const std::vector<ApObservation> obs{o};
+  const auto oracle = testing::exhaustive_grid_argmin(obs, cfg);
+  ASSERT_EQ(oracle.minimizers, 4);
+  ASSERT_EQ(oracle.position.x, 5.5);
+  ASSERT_EQ(oracle.position.y, 1.0);
+  const LocalizeResult r = localize(obs, cfg);
+  ASSERT_TRUE(r.valid);
+  EXPECT_EQ(r.position.x, oracle.position.x);
+  EXPECT_EQ(r.position.y, oracle.position.y);
+  EXPECT_EQ(r.cost, oracle.cost);
+}
+
+// Two blocks (16 x 8 cells of 0.125 m), one AP at each block's centre
+// with the AoA of the other block's centre: each AP lies inside its own
+// block and agrees exactly with the other, so both block bounds are 0
+// and nothing prunes. The scan degenerates to the exhaustive one and
+// must return its argmin.
+TEST(Localize, AllZeroBlockBoundsStillReturnExhaustiveArgmin) {
+  LocalizeConfig cfg;
+  cfg.room = channel::Room{1.875, 0.875};
+  cfg.grid_step_m = 0.125;
+  cfg.robust = false;
+  const Vec2 centre_a{0.4375, 0.4375};
+  const Vec2 centre_b{1.4375, 0.4375};
+  std::vector<ApObservation> obs(2);
+  obs[0].pose = ApPose{centre_a, 90.0};
+  obs[0].aoa_deg = obs[0].pose.aoa_of_point(centre_b);
+  obs[1].pose = ApPose{centre_b, 30.0};
+  obs[1].aoa_deg = obs[1].pose.aoa_of_point(centre_a);
+  obs[1].weight = 3.0;
+  const auto oracle = testing::exhaustive_grid_argmin(obs, cfg);
+  const LocalizeResult r = localize(obs, cfg);
+  ASSERT_TRUE(r.valid);
+  EXPECT_GT(r.cost, 0.0);
+  EXPECT_EQ(r.position.x, oracle.position.x);
+  EXPECT_EQ(r.position.y, oracle.position.y);
+  EXPECT_EQ(r.cost, oracle.cost);
+}
+
+// One-cell grid (room narrower than a step in both axes): r = 0 and the
+// only block centre is the node an AP sits on, so that cell is skipped
+// and the result is the no-candidate default, exactly as before.
+TEST(Localize, OneCellGridWithApOnTheNodeHasNoCandidate) {
+  LocalizeConfig cfg;
+  cfg.room = channel::Room{0.05, 0.05};
+  cfg.grid_step_m = 0.1;
+  cfg.robust = false;
+  ApObservation o;
+  o.pose = ApPose{{0.0, 0.0}, 45.0};
+  o.aoa_deg = 10.0;
+  const std::vector<ApObservation> obs{o};
+  const auto oracle = testing::exhaustive_grid_argmin(obs, cfg);
+  const LocalizeResult r = localize(obs, cfg);
+  ASSERT_TRUE(r.valid);
+  EXPECT_EQ(r.cost, oracle.cost);
+  EXPECT_EQ(r.position.x, oracle.position.x);
+  EXPECT_EQ(r.position.y, oracle.position.y);
 }
 
 class LocalizeTargetSweep
