@@ -146,30 +146,32 @@ void BM_KroneckerApplyMat(benchmark::State& state) {
 }
 BENCHMARK(BM_KroneckerApplyMat)->Arg(1)->Arg(0)->Unit(benchmark::kMicrosecond);
 
-/// Tentpole solver ablation: group FISTA with the momentum-linearity
-/// apply reuse (2 operator applications per iteration) vs the direct
-/// 3-application path, at a fixed iteration count.
-void BM_GroupSolveApplyReuse(benchmark::State& state) {
-  const bool reuse = state.range(0) == 1;
+/// Solver ablation: the fused one-pass group FISTA iteration on the
+/// Kronecker operator vs the generic loop on the same dictionary
+/// materialized densely, at a fixed iteration count.
+void BM_GroupSolveFused(benchmark::State& state) {
+  const bool fused = state.range(0) == 1;
   const dsp::Grid aoa(0.0, 180.0, 91);
   const dsp::Grid toa(0.0, 784e-9, 50);
-  const sparse::KroneckerOperator op(dsp::steering_matrix_aoa(aoa, kArray),
-                                     dsp::steering_matrix_toa(toa, kArray));
-  CMat y(op.rows(), 3);
+  const sparse::KroneckerOperator kop(dsp::steering_matrix_aoa(aoa, kArray),
+                                      dsp::steering_matrix_toa(toa, kArray));
+  const sparse::DenseOperator dop(kop.to_dense());
+  CMat y(kop.rows(), 3);
   for (index_t c = 0; c < y.cols(); ++c) {
     y.set_col(c, measurement_for(kArray, 20 + static_cast<std::uint64_t>(c)));
   }
   sparse::SolveConfig cfg;
   cfg.max_iterations = 200;
   cfg.tolerance = 0.0;  // fixed work so both paths run equal iterations
-  cfg.reuse_applies = reuse;
+  const sparse::LinearOperator& op =
+      fused ? static_cast<const sparse::LinearOperator&>(kop) : dop;
   for (auto _ : state) {
     const auto r = sparse::solve_group_l1(op, y, cfg);
     benchmark::DoNotOptimize(r.iterations);
   }
-  state.SetLabel(reuse ? "apply-reuse (2 applies/it)" : "direct (3 applies/it)");
+  state.SetLabel(fused ? "fused (Kronecker)" : "generic (dense)");
 }
-BENCHMARK(BM_GroupSolveApplyReuse)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GroupSolveFused)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
 /// Section III-C: joint-solve cost vs grid size (N_theta * N_tau).
 void BM_JointSolveScaling(benchmark::State& state) {
@@ -546,10 +548,10 @@ bool same_samples(const std::vector<bench::SystemErrors>& a,
     }
   }
 
-  // Group FISTA with apply reuse (2 operator applications per iteration
-  // via the momentum identity) vs the direct 3-application path, fixed
-  // iteration count. Iterates agree to rounding, not bit-exactly, so
-  // this flag is tolerance-based ("matches", not "identical").
+  // Group FISTA: the fused Kronecker iteration vs the generic loop on
+  // the same dictionary materialized densely, fixed iteration count.
+  // Iterates agree to rounding, not bit-exactly, so this flag is
+  // tolerance-based ("matches", not "identical").
   CMat yblk(hit->op.rows(), 3);
   for (index_t c = 0; c < yblk.cols(); ++c) {
     yblk.set_col(c,
@@ -559,25 +561,23 @@ bool same_samples(const std::vector<bench::SystemErrors>& a,
   gcfg.max_iterations = 200;
   gcfg.tolerance = 0.0;
   gcfg.lipschitz_hint = hit->norm_sq;
-  sparse::GroupSolveResult g_reuse, g_direct;
-  double fista_reuse_ms = 1e300, fista_direct_ms = 1e300;
+  const sparse::DenseOperator dense_op(hit->op.to_dense());
+  sparse::GroupSolveResult g_fused, g_generic;
+  double fista_fused_ms = 1e300, fista_generic_ms = 1e300;
   for (int rep = 0; rep < 3; ++rep) {
-    sparse::SolveConfig gc = gcfg;
-    gc.reuse_applies = true;
     t = clock::now();
-    g_reuse = sparse::solve_group_l1(hit->op, yblk, gc);
-    fista_reuse_ms = std::min(fista_reuse_ms, elapsed_ms(t));
-    gc.reuse_applies = false;
+    g_fused = sparse::solve_group_l1(hit->op, yblk, gcfg);
+    fista_fused_ms = std::min(fista_fused_ms, elapsed_ms(t));
     t = clock::now();
-    g_direct = sparse::solve_group_l1(hit->op, yblk, gc);
-    fista_direct_ms = std::min(fista_direct_ms, elapsed_ms(t));
+    g_generic = sparse::solve_group_l1(dense_op, yblk, gcfg);
+    fista_generic_ms = std::min(fista_generic_ms, elapsed_ms(t));
   }
   double fista_ref_max = 0.0, fista_diff_max = 0.0;
-  for (index_t j = 0; j < g_direct.x.cols(); ++j) {
-    for (index_t i = 0; i < g_direct.x.rows(); ++i) {
-      fista_ref_max = std::max(fista_ref_max, std::abs(g_direct.x(i, j)));
+  for (index_t j = 0; j < g_generic.x.cols(); ++j) {
+    for (index_t i = 0; i < g_generic.x.rows(); ++i) {
+      fista_ref_max = std::max(fista_ref_max, std::abs(g_generic.x(i, j)));
       fista_diff_max = std::max(fista_diff_max,
-                                std::abs(g_reuse.x(i, j) - g_direct.x(i, j)));
+                                std::abs(g_fused.x(i, j) - g_generic.x(i, j)));
     }
   }
   const double fista_rel_diff =
@@ -834,12 +834,12 @@ bool same_samples(const std::vector<bench::SystemErrors>& a,
     w.key("kron_batched_speedup")
         .value(kron_percol_ms / std::max(kron_batched_ms, 1e-6));
     w.key("kron_batched_identical_to_percolumn").value(kron_identical);
-    w.key("fista_reuse_ms").value(fista_reuse_ms);
-    w.key("fista_direct_ms").value(fista_direct_ms);
-    w.key("fista_reuse_speedup")
-        .value(fista_direct_ms / std::max(fista_reuse_ms, 1e-6));
-    w.key("fista_reuse_max_rel_diff").value(fista_rel_diff);
-    w.key("fista_reuse_matches_direct").value(fista_matches);
+    w.key("fista_fused_ms").value(fista_fused_ms);
+    w.key("fista_generic_dense_ms").value(fista_generic_ms);
+    w.key("fista_fused_speedup")
+        .value(fista_generic_ms / std::max(fista_fused_ms, 1e-6));
+    w.key("fista_fused_max_rel_diff").value(fista_rel_diff);
+    w.key("fista_fused_matches_generic").value(fista_matches);
     w.end_object();
     w.key("backend_kernels").begin_object();
     w.key("simd_available").value(simd_available);

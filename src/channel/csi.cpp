@@ -82,11 +82,16 @@ double add_noise(CMat& csi, double snr_db, std::mt19937_64& rng) {
   const double signal_power = mean_power(csi);
   const double noise_power = signal_power / std::pow(10.0, snr_db / 10.0);
   // Circularly symmetric: variance split evenly between re and im.
+  // Draws are standard normals scaled here: a distribution built with
+  // stddev 0 (infinite SNR) violates its precondition. z * sigma + 0.0
+  // is the value normal_distribution(0, sigma) returns for the same
+  // draw, so the stream and the samples are unchanged.
   const double sigma_component = std::sqrt(noise_power / 2.0);
-  std::normal_distribution<double> n(0.0, sigma_component);
+  std::normal_distribution<double> n;
   for (index_t j = 0; j < csi.cols(); ++j) {
     for (index_t i = 0; i < csi.rows(); ++i) {
-      csi(i, j) += cxd{n(rng), n(rng)};
+      csi(i, j) += cxd{n(rng) * sigma_component + 0.0,
+                       n(rng) * sigma_component + 0.0};
     }
   }
   return std::sqrt(noise_power);
@@ -102,7 +107,9 @@ PacketBurst generate_burst(const std::vector<Path>& paths,
     throw std::invalid_argument("generate_burst: negative detection delay bound");
   }
   std::uniform_real_distribution<double> delay(0.0, cfg.max_detection_delay_s);
-  std::normal_distribution<double> jitter(0.0, cfg.path_phase_jitter_rad);
+  // Standard normal, scaled at the draw (see add_noise): the jitter
+  // defaults to 0, which is no valid stddev.
+  std::normal_distribution<double> jitter;
 
   // Polarization deviation: overall cos^2 power loss plus per-antenna
   // manifold distortion, fixed for the burst (the client does not move).
@@ -142,7 +149,8 @@ PacketBurst generate_burst(const std::vector<Path>& paths,
     std::vector<Path> jittered = paths;
     if (cfg.path_phase_jitter_rad > 0.0) {
       for (Path& path : jittered) {
-        path.gain *= std::polar(1.0, jitter(rng));
+        path.gain *=
+            std::polar(1.0, jitter(rng) * cfg.path_phase_jitter_rad + 0.0);
       }
     }
     CMat c = synthesize_csi(jittered, array_cfg, imp);

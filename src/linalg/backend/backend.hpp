@@ -1,8 +1,8 @@
 // Pluggable compute backends for the complex kernel hot path.
 //
 // A Backend is a table of raw-buffer kernels (GEMM microkernels, the
-// soft-threshold / group-prox element passes, and the steering-vector
-// phase recurrences). The `scalar` table holds today's hand-separated
+// soft-threshold / group-prox element passes, the fused FISTA pass,
+// and the steering-vector phase recurrences). The `scalar` table holds today's hand-separated
 // real-arithmetic loops, extracted verbatim from gemm.cpp / prox.hpp /
 // steering.cpp; the `simd` table hand-vectorizes the same kernels
 // (AVX2+FMA on x86-64, NEON on aarch64) behind compile-time feature
@@ -46,6 +46,37 @@ inline constexpr index_t kSmallRowLimit = 16;
 /// (`gemm_cols_depth`) when the row count is too large for the
 /// fixed-height one.
 inline constexpr index_t kSmallDepthLimit = 8;
+
+/// Operands of one fused FISTA pass over a Kronecker-structured
+/// dictionary S = R (x) L (L: the M x N_l AoA factor, R: the ToA
+/// factor). Unknown blocks are column-major n x K (n = N_l * N_r, cell
+/// index j * N_l + i, AoA-fastest, snapshot column stride n). The
+/// ToA-side blocks p and b are (M*K) x N_r, column-major, with row
+/// c * M + m for snapshot c and antenna m, so column j holds one
+/// contiguous M*K run.
+struct FistaPass {
+  index_t m;             ///< antenna count (rows of L), >= 1.
+  index_t nl;            ///< AoA cells per ToA column (columns of L).
+  index_t k;             ///< snapshot columns, >= 1.
+  index_t n;             ///< total cells: column stride of x / x_prev / x_new.
+  const cxd* left_adj;   ///< L^H, N_l x M column-major.
+  const cxd* p;          ///< gradient partials: the residual times conj(R).
+  const cxd* x;          ///< current iterate.
+  const cxd* x_prev;     ///< previous iterate (== x with beta = 0 for a plain step).
+  double beta;           ///< momentum weight of z = x + beta (x - x_prev).
+  double step;           ///< gradient step 1 / Lipschitz.
+  double shrink;         ///< row-shrink threshold step * kappa.
+  cxd* x_new;            ///< output iterate (must not alias x / x_prev).
+  cxd* b;                ///< output forward partials L x_new, per column.
+};
+
+/// Per-call reductions of fista_pass, accumulated in ascending column
+/// order within the call.
+struct FistaSums {
+  double diff_sq = 0.0;  ///< ||x_new - x||_F^2 over the columns.
+  double new_sq = 0.0;   ///< ||x_new||_F^2.
+  double l21 = 0.0;      ///< sum of post-shrink row norms of x_new.
+};
 
 /// Function-pointer table of hot kernels. All matrix arguments are raw
 /// column-major interleaved (re, im) buffers; every pointer is non-null
@@ -108,6 +139,22 @@ struct Backend {
 
   /// out[i] += scale * step^i (the CSI synthesis accumulation).
   void (*phase_ramp_accum)(cxd scale, cxd step, index_t n, cxd* out);
+
+  /// One fused FISTA iteration body over ToA columns [j0, j1). Per
+  /// column j and AoA cell i it forms the momentum point
+  /// z = x + beta (x - x_prev), the gradient g = L^H P_j (P_j = column
+  /// j of p, one M-vector per snapshot), the step v = z - step g and
+  /// the l2,1 row shrink x_new = v max(0, 1 - shrink / ||v||) across
+  /// the K snapshots (the complex soft threshold for K = 1), and
+  /// overwrites b's column j with L x_new. `sums` is overwritten with
+  /// the reductions over these columns. Zero rows skip the forward
+  /// accumulation. simd tolerance vs scalar: the step and shrink are
+  /// elementwise, so x_new differs only by FMA rounding,
+  /// |diff| <= 16 * eps * M * (|z| + step * max|L| * sum|P_j|) per
+  /// element; b and the sums additionally reorder their cell sums
+  /// (lane-split partial sums), 8 * eps * N_l * max|L| * sum|x_new|.
+  void (*fista_pass)(const FistaPass& a, index_t j0, index_t j1,
+                     FistaSums& sums);
 };
 
 /// The portable table (always available; arithmetic of the pre-backend

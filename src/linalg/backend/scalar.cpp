@@ -7,7 +7,9 @@
 // table.
 #include "linalg/backend/backend.hpp"
 
+#include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstring>
 #include <utility>
 
@@ -223,10 +225,91 @@ void phase_ramp_accum(cxd scale, cxd step, index_t n, cxd* out) {
   }
 }
 
+/// The fused FISTA pass (backend.hpp): one sweep per ToA column over
+/// the AoA cells. The gradient entries ascend over antennas like the
+/// fixed-depth adjoint GEMM; the forward partials ascend over cells.
+/// The step values are parked in x_new between the row-norm sweep and
+/// the shrink, so no scratch is needed for any snapshot count.
+void fista_pass(const FistaPass& a, index_t j0, index_t j1, FistaSums& sums) {
+  const index_t m = a.m;
+  const index_t nl = a.nl;
+  const index_t k = a.k;
+  const index_t mk = m * k;
+  const double* ld = reinterpret_cast<const double*>(a.left_adj);
+  const double* xd = reinterpret_cast<const double*>(a.x);
+  const double* qd = reinterpret_cast<const double*>(a.x_prev);
+  double* nd = reinterpret_cast<double*>(a.x_new);
+  double diff_sq = 0.0;
+  double new_sq = 0.0;
+  double l21 = 0.0;
+  for (index_t j = j0; j < j1; ++j) {
+    const double* pj = reinterpret_cast<const double*>(a.p + j * mk);
+    double* bj = reinterpret_cast<double*>(a.b + j * mk);
+    std::fill(bj, bj + 2 * mk, 0.0);
+    for (index_t i = 0; i < nl; ++i) {
+      const index_t cell = j * nl + i;
+      double norm_sq = 0.0;
+      for (index_t c = 0; c < k; ++c) {
+        const double* pc = pj + 2 * c * m;
+        double gr = 0.0;
+        double gi = 0.0;
+        for (index_t r = 0; r < m; ++r) {
+          const double ar = ld[2 * (r * nl + i)];
+          const double ai = ld[2 * (r * nl + i) + 1];
+          gr += ar * pc[2 * r] - ai * pc[2 * r + 1];
+          gi += ar * pc[2 * r + 1] + ai * pc[2 * r];
+        }
+        const index_t e = 2 * (c * a.n + cell);
+        const double zr = xd[e] + a.beta * (xd[e] - qd[e]);
+        const double zi = xd[e + 1] + a.beta * (xd[e + 1] - qd[e + 1]);
+        const double vr = zr - a.step * gr;
+        const double vi = zi - a.step * gi;
+        nd[e] = vr;
+        nd[e + 1] = vi;
+        norm_sq += vr * vr + vi * vi;
+      }
+      const double norm = std::sqrt(norm_sq);
+      if (norm <= a.shrink) {
+        for (index_t c = 0; c < k; ++c) {
+          const index_t e = 2 * (c * a.n + cell);
+          diff_sq += xd[e] * xd[e] + xd[e + 1] * xd[e + 1];
+          nd[e] = 0.0;
+          nd[e + 1] = 0.0;
+        }
+        continue;  // zero row: no forward contribution
+      }
+      const double s = 1.0 - a.shrink / norm;
+      l21 += norm * s;
+      for (index_t c = 0; c < k; ++c) {
+        const index_t e = 2 * (c * a.n + cell);
+        const double vr = nd[e] * s;
+        const double vi = nd[e + 1] * s;
+        nd[e] = vr;
+        nd[e + 1] = vi;
+        const double dr = vr - xd[e];
+        const double di = vi - xd[e + 1];
+        diff_sq += dr * dr + di * di;
+        new_sq += vr * vr + vi * vi;
+        // b(c * M + r, j) += L(r, i) x_new, with L(r, i) = conj(L^H(i, r)).
+        double* bc = bj + 2 * c * m;
+        for (index_t r = 0; r < m; ++r) {
+          const double ar = ld[2 * (r * nl + i)];
+          const double ai = ld[2 * (r * nl + i) + 1];
+          bc[2 * r] += ar * vr + ai * vi;
+          bc[2 * r + 1] += ar * vi - ai * vr;
+        }
+      }
+    }
+  }
+  sums.diff_sq = diff_sq;
+  sums.new_sq = new_sq;
+  sums.l21 = l21;
+}
+
 constexpr Backend kScalar = {
     "scalar",        &gemm_tile, &gemm_cols,         &gemm_cols_depth,
     &gemm_adj_tile,  &soft_threshold, &row_sq_accumulate, &row_scale,
-    &phase_ramp,     &phase_ramp_accum,
+    &phase_ramp,     &phase_ramp_accum, &fista_pass,
 };
 
 }  // namespace

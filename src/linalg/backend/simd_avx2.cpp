@@ -36,6 +36,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <utility>
 
@@ -594,10 +595,213 @@ void phase_ramp_accum(cxd scale, cxd step, index_t n, cxd* out) {
 
 #undef ROARRAY_SIGN_EVEN
 
+// Largest antenna count and largest M*K whose per-column state the
+// fused pass keeps in fixed stack arrays; larger problems run the
+// scalar table's kernel.
+constexpr index_t kFistaMaxAntennas = kSmallRowLimit;
+constexpr index_t kFistaMaxPartials = 64;
+
+/// Sum of the four lanes in one fixed order.
+inline double lane_sum(__m256d v) {
+  const __m128d s = _mm_add_pd(_mm256_castpd256_pd128(v),
+                               _mm256_extractf128_pd(v, 1));
+  return _mm_cvtsd_f64(s) + _mm_cvtsd_f64(_mm_unpackhi_pd(s, s));
+}
+
+/// Load masks for a group of four complex cells of which only the
+/// first `width` exist: lo covers cells 0-1, hi cells 2-3.
+struct CellMask {
+  __m256i lo;
+  __m256i hi;
+};
+
+inline CellMask cell_mask(index_t width) {
+  const auto lane = [width](index_t cell) {
+    return cell < width ? std::int64_t{-1} : std::int64_t{0};
+  };
+  return {_mm256_setr_epi64x(lane(0), lane(0), lane(1), lane(1)),
+          _mm256_setr_epi64x(lane(2), lane(2), lane(3), lane(3))};
+}
+
+/// Deinterleaves four consecutive complex values into planar (re, im)
+/// registers in gemm_tile's permuted lane order (i, i+2, i+1, i+3);
+/// the masked form reads only the cells that exist and yields zeros
+/// for the rest.
+template <bool Masked>
+inline void load_planar(const double* p, const CellMask& mask, __m256d& re,
+                        __m256d& im) {
+  __m256d v0;
+  __m256d v1;
+  if constexpr (Masked) {
+    v0 = _mm256_maskload_pd(p, mask.lo);
+    v1 = _mm256_maskload_pd(p + 4, mask.hi);
+  } else {
+    v0 = _mm256_loadu_pd(p);
+    v1 = _mm256_loadu_pd(p + 4);
+  }
+  re = _mm256_unpacklo_pd(v0, v1);
+  im = _mm256_unpackhi_pd(v0, v1);
+}
+
+/// Inverse of load_planar.
+template <bool Masked>
+inline void store_planar(double* p, const CellMask& mask, __m256d re,
+                         __m256d im) {
+  const __m256d v0 = _mm256_unpacklo_pd(re, im);
+  const __m256d v1 = _mm256_unpackhi_pd(re, im);
+  if constexpr (Masked) {
+    _mm256_maskstore_pd(p, mask.lo, v0);
+    _mm256_maskstore_pd(p + 4, mask.hi, v1);
+  } else {
+    _mm256_storeu_pd(p, v0);
+    _mm256_storeu_pd(p + 4, v1);
+  }
+}
+
+/// Lane state of one fused pass: the deinterleaved L^H columns of the
+/// current cell group, the per-(snapshot, antenna) forward partials of
+/// the current column, and the running reductions.
+struct FistaLanes {
+  __m256d lr[kFistaMaxAntennas];
+  __m256d li[kFistaMaxAntennas];
+  __m256d accr[kFistaMaxPartials];
+  __m256d acci[kFistaMaxPartials];
+  __m256d diff;
+  __m256d new_sq;
+  __m256d l21;
+};
+
+/// One group of up to four AoA cells starting at cell i of column j.
+/// Absent cells (Masked) load as zero rows, which shrink to zero and
+/// contribute nothing.
+template <bool Masked>
+inline void fista_group(const FistaPass& a, const double* pj, index_t j,
+                        index_t i, const CellMask& mask, FistaLanes& st) {
+  const index_t m = a.m;
+  const double* ld = reinterpret_cast<const double*>(a.left_adj);
+  const double* xd = reinterpret_cast<const double*>(a.x);
+  const double* qd = reinterpret_cast<const double*>(a.x_prev);
+  double* nd = reinterpret_cast<double*>(a.x_new);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d vshrink = _mm256_set1_pd(a.shrink);
+  for (index_t r = 0; r < m; ++r) {
+    load_planar<Masked>(ld + 2 * (r * a.nl + i), mask, st.lr[r], st.li[r]);
+  }
+  const index_t cell = j * a.nl + i;
+  __m256d nsq = zero;
+  for (index_t c = 0; c < a.k; ++c) {
+    const double* pc = pj + 2 * c * m;
+    __m256d gr = zero;
+    __m256d gi = zero;
+    for (index_t r = 0; r < m; ++r) {
+      const __m256d pr = _mm256_broadcast_sd(pc + 2 * r);
+      const __m256d pi = _mm256_broadcast_sd(pc + 2 * r + 1);
+      gr = _mm256_fmadd_pd(st.lr[r], pr, gr);
+      gr = _mm256_fnmadd_pd(st.li[r], pi, gr);
+      gi = _mm256_fmadd_pd(st.lr[r], pi, gi);
+      gi = _mm256_fmadd_pd(st.li[r], pr, gi);
+    }
+    const index_t e = 2 * (c * a.n + cell);
+    __m256d xr, xi, qr, qi;
+    load_planar<Masked>(xd + e, mask, xr, xi);
+    load_planar<Masked>(qd + e, mask, qr, qi);
+    const __m256d vbeta = _mm256_set1_pd(a.beta);
+    const __m256d vstep = _mm256_set1_pd(a.step);
+    const __m256d zr = _mm256_fmadd_pd(vbeta, _mm256_sub_pd(xr, qr), xr);
+    const __m256d zi = _mm256_fmadd_pd(vbeta, _mm256_sub_pd(xi, qi), xi);
+    const __m256d vr = _mm256_fnmadd_pd(vstep, gr, zr);
+    const __m256d vi = _mm256_fnmadd_pd(vstep, gi, zi);
+    nsq = _mm256_fmadd_pd(vr, vr, nsq);
+    nsq = _mm256_fmadd_pd(vi, vi, nsq);
+    store_planar<Masked>(nd + e, mask, vr, vi);  // parked until the shrink
+  }
+  const __m256d norm = _mm256_sqrt_pd(nsq);
+  const __m256d keep = _mm256_cmp_pd(norm, vshrink, _CMP_NLE_UQ);
+  if (_mm256_movemask_pd(keep) == 0) {  // all zero rows: no forward work
+    for (index_t c = 0; c < a.k; ++c) {
+      const index_t e = 2 * (c * a.n + cell);
+      __m256d xr, xi;
+      load_planar<Masked>(xd + e, mask, xr, xi);
+      st.diff = _mm256_fmadd_pd(xr, xr, st.diff);
+      st.diff = _mm256_fmadd_pd(xi, xi, st.diff);
+      store_planar<Masked>(nd + e, mask, zero, zero);
+    }
+    return;
+  }
+  const __m256d sc = _mm256_and_pd(
+      _mm256_sub_pd(_mm256_set1_pd(1.0), _mm256_div_pd(vshrink, norm)), keep);
+  st.l21 = _mm256_fmadd_pd(norm, sc, st.l21);
+  for (index_t c = 0; c < a.k; ++c) {
+    const index_t e = 2 * (c * a.n + cell);
+    __m256d vr, vi, xr, xi;
+    load_planar<Masked>(nd + e, mask, vr, vi);
+    // and-with-keep writes exact +0 on shrunk lanes (scalar's zero).
+    vr = _mm256_and_pd(_mm256_mul_pd(vr, sc), keep);
+    vi = _mm256_and_pd(_mm256_mul_pd(vi, sc), keep);
+    store_planar<Masked>(nd + e, mask, vr, vi);
+    load_planar<Masked>(xd + e, mask, xr, xi);
+    const __m256d dr = _mm256_sub_pd(vr, xr);
+    const __m256d di = _mm256_sub_pd(vi, xi);
+    st.diff = _mm256_fmadd_pd(dr, dr, st.diff);
+    st.diff = _mm256_fmadd_pd(di, di, st.diff);
+    st.new_sq = _mm256_fmadd_pd(vr, vr, st.new_sq);
+    st.new_sq = _mm256_fmadd_pd(vi, vi, st.new_sq);
+    // b(c * M + r, j) += L(r, i) x_new, with L = conj(L^H).
+    __m256d* ar = st.accr + c * m;
+    __m256d* ai = st.acci + c * m;
+    for (index_t r = 0; r < m; ++r) {
+      ar[r] = _mm256_fmadd_pd(st.lr[r], vr, ar[r]);
+      ar[r] = _mm256_fmadd_pd(st.li[r], vi, ar[r]);
+      ai[r] = _mm256_fmadd_pd(st.lr[r], vi, ai[r]);
+      ai[r] = _mm256_fnmadd_pd(st.li[r], vr, ai[r]);
+    }
+  }
+}
+
+/// Fused FISTA pass (backend.hpp), four AoA cells per vector in planar
+/// form. The L^H columns of a cell group are deinterleaved once and
+/// serve both the gradient and the forward partials (L = conj(L^H)).
+/// The forward partials sum in per-lane accumulators that fold into b
+/// once per column in a fixed order; the N_l mod 4 cell tail runs the
+/// same body with masked loads and stores. The shrink compare is
+/// unordered, so NaN rows stay on the scale branch like the scalar
+/// kernel.
+void fista_pass(const FistaPass& a, index_t j0, index_t j1, FistaSums& sums) {
+  const index_t mk = a.m * a.k;
+  if (a.m > kFistaMaxAntennas || mk > kFistaMaxPartials) {
+    scalar().fista_pass(a, j0, j1, sums);
+    return;
+  }
+  const CellMask full = cell_mask(4);
+  const CellMask tail = cell_mask(a.nl % 4);
+  FistaLanes st;
+  st.diff = _mm256_setzero_pd();
+  st.new_sq = _mm256_setzero_pd();
+  st.l21 = _mm256_setzero_pd();
+  for (index_t j = j0; j < j1; ++j) {
+    const double* pj = reinterpret_cast<const double*>(a.p + j * mk);
+    for (index_t q = 0; q < mk; ++q) {
+      st.accr[q] = _mm256_setzero_pd();
+      st.acci[q] = _mm256_setzero_pd();
+    }
+    index_t i = 0;
+    for (; i + 4 <= a.nl; i += 4) fista_group<false>(a, pj, j, i, full, st);
+    if (i < a.nl) fista_group<true>(a, pj, j, i, tail, st);
+    double* bj = reinterpret_cast<double*>(a.b + j * mk);
+    for (index_t q = 0; q < mk; ++q) {
+      bj[2 * q] = lane_sum(st.accr[q]);
+      bj[2 * q + 1] = lane_sum(st.acci[q]);
+    }
+  }
+  sums.diff_sq = lane_sum(st.diff);
+  sums.new_sq = lane_sum(st.new_sq);
+  sums.l21 = lane_sum(st.l21);
+}
+
 constexpr Backend kAvx2 = {
     "simd-avx2",     &gemm_tile, &gemm_cols,         &gemm_cols_depth,
     &gemm_adj_tile,  &soft_threshold, &row_sq_accumulate, &row_scale,
-    &phase_ramp,     &phase_ramp_accum,
+    &phase_ramp,     &phase_ramp_accum, &fista_pass,
 };
 
 }  // namespace

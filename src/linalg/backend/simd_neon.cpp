@@ -200,10 +200,16 @@ void phase_ramp_accum(cxd scale, cxd step, index_t n, cxd* out) {
   phase_ramp_impl<true>(scale, step, n, out);
 }
 
+/// The fused FISTA pass has no NEON body: it runs the scalar table's
+/// kernel (bit-identical to the scalar table by construction).
+void fista_pass(const FistaPass& a, index_t j0, index_t j1, FistaSums& sums) {
+  scalar().fista_pass(a, j0, j1, sums);
+}
+
 constexpr Backend kNeon = {
     "simd-neon",     &gemm_tile, &gemm_cols,         &gemm_cols_depth,
     &gemm_adj_tile,  &soft_threshold, &row_sq_accumulate, &row_scale,
-    &phase_ramp,     &phase_ramp_accum,
+    &phase_ramp,     &phase_ramp_accum, &fista_pass,
 };
 
 }  // namespace

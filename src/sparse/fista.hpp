@@ -43,15 +43,6 @@ struct SolveConfig {
   /// power iteration is deterministic, a cached value equals the
   /// per-call one exactly — solutions are bit-identical either way.
   double lipschitz_hint = -1.0;
-  /// Reuse cached forward applications across iterations: S z is formed
-  /// from the momentum identity S z = (1 + beta) S x_new - beta S x_prev
-  /// instead of a fresh operator application, cutting the per-iteration
-  /// operator cost from 3 applications to 2 (the objective evaluation's
-  /// S x_new is kept and becomes the next iterate's cached value). The
-  /// identity is exact in exact arithmetic; in floating point iterates
-  /// match the direct path to solver tolerance (see DESIGN.md). false
-  /// recovers the direct 3-application path.
-  bool reuse_applies = true;
 };
 
 /// Result of a single-snapshot solve.
@@ -79,7 +70,12 @@ using IterationCallback = std::function<void(int iteration, const CVec& x)>;
 /// Smallest kappa for which the l1 solution is identically zero.
 [[nodiscard]] double kappa_max(const LinearOperator& op, const CVec& y);
 
-/// Solves min_x 1/2 ||y - S x||^2 + kappa ||x||_1.
+/// Solves min_x 1/2 ||y - S x||^2 + kappa ||x||_1 — the loop of
+/// solve_group_l1 with one snapshot, whose row shrink is the complex
+/// soft threshold: the fused one-pass iteration on a
+/// Kronecker-structured operator (KroneckerOperator, SupportOperator),
+/// the generic loop on any other. The callback, when set, sees a copy
+/// of the iterate.
 /// Throws std::invalid_argument on dimension mismatch.
 [[nodiscard]] SolveResult solve_l1(const LinearOperator& op, const CVec& y,
                                    const SolveConfig& cfg = {},
@@ -87,8 +83,11 @@ using IterationCallback = std::function<void(int iteration, const CVec& x)>;
 
 /// Solves the row-group problem
 /// min_X 1/2 ||Y - S X||_F^2 + kappa sum_i ||X(i,:)||_2.
-/// The optional pool parallelizes the per-snapshot operator columns
-/// (results identical to the serial path).
+/// On a Kronecker-structured operator this runs the fused one-pass
+/// iteration (DESIGN.md "Fused FISTA iteration"); the optional pool
+/// then runs fixed blocks of ToA columns and the ToA-side GEMMs, and on
+/// the generic loop it parallelizes the operator applications. Either
+/// way the result is identical at any thread count.
 [[nodiscard]] GroupSolveResult solve_group_l1(
     const LinearOperator& op, const CMat& y, const SolveConfig& cfg = {},
     const runtime::ThreadPool* pool = nullptr);

@@ -1,8 +1,9 @@
 #include "sparse/omp.hpp"
 
-#include <algorithm>
 #include <cmath>
+#include <complex>
 #include <stdexcept>
+#include <vector>
 
 #include "linalg/qr.hpp"
 
@@ -26,24 +27,26 @@ OmpResult solve_omp(const LinearOperator& op, const CVec& y,
   // norms would only rescale the argmax.
   CVec residual = y;
   CMat selected_cols(m, 0);
+  std::vector<char> used(static_cast<std::size_t>(n), 0);
 
   for (index_t it = 0; it < cfg.max_atoms; ++it) {
-    // Pick the atom with the largest |<s_j, r>|.
+    // Pick the atom with the largest |<s_j, r>|, ranked by the squared
+    // magnitude (no hypot per atom); only the winner's magnitude is
+    // needed, for the stop test.
     const CVec corr = op.apply_adjoint(residual);
     index_t best = -1;
-    double best_mag = 0.0;
+    double best_sq = 0.0;
     for (index_t j = 0; j < n; ++j) {
-      const bool used = std::find(out.support.begin(), out.support.end(), j) !=
-                        out.support.end();
-      if (used) continue;
-      const double mag = std::abs(corr[j]);
-      if (mag > best_mag) {
-        best_mag = mag;
+      if (used[static_cast<std::size_t>(j)]) continue;
+      const double sq = std::norm(corr[j]);
+      if (sq > best_sq) {
+        best_sq = sq;
         best = j;
       }
     }
-    if (best < 0 || best_mag <= 1e-14 * y_norm) break;
+    if (best < 0 || std::sqrt(best_sq) <= 1e-14 * y_norm) break;
 
+    used[static_cast<std::size_t>(best)] = 1;
     out.support.push_back(best);
     // Materialize the new column.
     CVec e(n);

@@ -157,6 +157,15 @@ class KroneckerOperator final : public LinearOperator {
 
   [[nodiscard]] const CMat& left() const noexcept { return left_; }
   [[nodiscard]] const CMat& right() const noexcept { return right_; }
+  /// The precomputed factor forms left^H, right^T and conj(right); the
+  /// fused FISTA iteration (sparse/fista.hpp) runs on them directly.
+  [[nodiscard]] const CMat& left_adjoint() const noexcept { return left_adj_; }
+  [[nodiscard]] const CMat& right_transpose() const noexcept {
+    return right_t_;
+  }
+  [[nodiscard]] const CMat& right_conjugate() const noexcept {
+    return right_conj_;
+  }
 
   /// Materializes the dense matrix (tests / small problems only).
   [[nodiscard]] CMat to_dense() const;

@@ -77,7 +77,7 @@ TEST(Fft, NextPow2) {
   EXPECT_EQ(next_pow2(3), 4);
   EXPECT_EQ(next_pow2(30), 32);
   EXPECT_EQ(next_pow2(129), 256);
-  EXPECT_THROW(next_pow2(0), std::invalid_argument);
+  EXPECT_THROW((void)next_pow2(0), std::invalid_argument);
 }
 
 TEST(Pdp, PeaksAtPathDelay) {

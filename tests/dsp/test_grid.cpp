@@ -23,8 +23,8 @@ TEST(Grid, SinglePoint) {
 TEST(Grid, InvalidArgumentsThrow) {
   EXPECT_THROW(Grid(0.0, 1.0, 0), std::invalid_argument);
   EXPECT_THROW(Grid(1.0, 0.0, 5), std::invalid_argument);
-  EXPECT_THROW(Grid::with_step(0.0, 1.0, 0.0), std::invalid_argument);
-  EXPECT_THROW(Grid::with_step(0.0, 1.0, -0.5), std::invalid_argument);
+  EXPECT_THROW((void)Grid::with_step(0.0, 1.0, 0.0), std::invalid_argument);
+  EXPECT_THROW((void)Grid::with_step(0.0, 1.0, -0.5), std::invalid_argument);
 }
 
 TEST(Grid, WithStepLandsOnGridPoints) {
@@ -41,8 +41,8 @@ TEST(Grid, WithStepTruncatesPartialStep) {
 }
 
 TEST(Grid, WithStepReversedBoundsThrow) {
-  EXPECT_THROW(Grid::with_step(1.0, 0.0, 0.5), std::invalid_argument);
-  EXPECT_THROW(Grid::with_step(0.0, -1e-6, 0.5), std::invalid_argument);
+  EXPECT_THROW((void)Grid::with_step(1.0, 0.0, 0.5), std::invalid_argument);
+  EXPECT_THROW((void)Grid::with_step(0.0, -1e-6, 0.5), std::invalid_argument);
   // Degenerate but valid: a single-point grid.
   const Grid g = Grid::with_step(2.0, 2.0, 0.5);
   EXPECT_EQ(g.size(), 1);
@@ -67,8 +67,8 @@ TEST(Grid, NearestIndexRoundsAndClamps) {
 
 TEST(Grid, AtBoundsChecked) {
   const Grid g(0.0, 1.0, 2);
-  EXPECT_THROW(g.at(2), std::out_of_range);
-  EXPECT_THROW(g.at(-1), std::out_of_range);
+  EXPECT_THROW((void)g.at(2), std::out_of_range);
+  EXPECT_THROW((void)g.at(-1), std::out_of_range);
   EXPECT_DOUBLE_EQ(g.at(1), 1.0);
 }
 

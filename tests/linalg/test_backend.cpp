@@ -8,10 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -79,7 +81,9 @@ TEST(BackendDispatch, DispatchInfoIsConsistent) {
   EXPECT_EQ(d.simd_compiled, simd_compiled());
   // A supported SIMD table implies a compiled one, and the published
   // table pointer agrees with the support flag.
-  if (d.simd_supported) EXPECT_TRUE(d.simd_compiled);
+  if (d.simd_supported) {
+    EXPECT_TRUE(d.simd_compiled);
+  }
   EXPECT_EQ(simd() != nullptr, d.simd_compiled && d.simd_supported);
   const std::string req = d.requested;
   EXPECT_TRUE(req == "auto" || req == "scalar" || req == "simd") << req;
@@ -315,6 +319,130 @@ TEST_F(BackendDifferential, PhaseRampMatchesScalar) {
           4.0 * kEps * static_cast<double>(n) * (std::abs(gain) + 1.0);
       EXPECT_NEAR(bv[i].real(), bs[i].real(), tol) << "i=" << i << " n=" << n;
     }
+  }
+}
+
+/// Inputs of one fused FISTA pass (backend.hpp FistaPass) with owned
+/// buffers: random factors and iterates, and a shrink threshold at the
+/// median row norm of the step so that about half the rows shrink to
+/// zero.
+struct FistaPassCase {
+  index_t m, nl, nr, k;
+  CMat left_adj, p, x, x_prev;
+  double beta = 0.0, step = 0.0, shrink = 0.0;
+
+  FistaPassCase(index_t m_, index_t nl_, index_t nr_, index_t k_,
+                std::mt19937_64& rng)
+      : m(m_), nl(nl_), nr(nr_), k(k_),
+        left_adj(rt::random_cmat(nl_, m_, rng)),
+        p(rt::random_cmat(m_ * k_, nr_, rng)),
+        x(rt::random_cmat(nl_ * nr_, k_, rng)),
+        x_prev(rt::random_cmat(nl_ * nr_, k_, rng)) {
+    std::uniform_real_distribution<double> u(0.0, 1.0);
+    beta = 0.9 * u(rng);
+    step = 0.05 + 0.2 * u(rng);
+    std::vector<double> norms;
+    for (index_t cell = 0; cell < nl * nr; ++cell) {
+      double sq = 0.0;
+      for (index_t c = 0; c < k; ++c) sq += std::norm(x(cell, c));
+      norms.push_back(std::sqrt(sq));
+    }
+    std::nth_element(norms.begin(), norms.begin() + norms.size() / 2,
+                     norms.end());
+    shrink = norms[norms.size() / 2];
+  }
+
+  FistaPass bind(CMat& x_new, CMat& b) const {
+    return FistaPass{m,        nl,        k,    nl * nr, left_adj.data(),
+                     p.data(), x.data(), x_prev.data(), beta, step, shrink,
+                     x_new.data(), b.data()};
+  }
+};
+
+TEST_F(BackendDifferential, FistaPassMatchesScalar) {
+  auto rng = rt::make_rng(708);
+  std::uniform_int_distribution<index_t> antennas(2, 5);
+  std::uniform_int_distribution<index_t> snapshots(1, 6);
+  std::uniform_int_distribution<index_t> cells(1, 13);
+  for (int trial = 0; trial < 60; ++trial) {
+    const FistaPassCase tc(antennas(rng), cells(rng), 5, snapshots(rng), rng);
+    SCOPED_TRACE("M=" + std::to_string(tc.m) + " N_l=" + std::to_string(tc.nl) +
+                 " K=" + std::to_string(tc.k));
+    CMat xs(tc.nl * tc.nr, tc.k), xv = xs;
+    CMat bs(tc.m * tc.k, tc.nr), bv = bs;
+    FistaSums ss, sv;
+    scalar().fista_pass(tc.bind(xs, bs), 0, tc.nr, ss);
+    simd_->fista_pass(tc.bind(xv, bv), 0, tc.nr, sv);
+
+    // backend.hpp: x_new within 16 eps M (|z| + step max|L| sum|P_j|);
+    // b and the sums add the reordered cell sums on top.
+    const double lmax = max_abs(tc.left_adj);
+    const double zmax = (1.0 + 2.0 * tc.beta) *
+                        std::max(max_abs(tc.x), max_abs(tc.x_prev));
+    const double tol_x = 16.0 * kEps * static_cast<double>(tc.m) *
+                         (zmax + tc.step * lmax * max_col_abs_sum(tc.p));
+    rt::expect_mat_near(xv, xs, tol_x, "x_new");
+    const double tol_b =
+        static_cast<double>(tc.nl) * lmax *
+        (8.0 * kEps * max_col_abs_sum(xs) + static_cast<double>(tc.k) * tol_x);
+    rt::expect_mat_near(bv, bs, tol_b, "b");
+    const double cells_total = static_cast<double>(tc.nl * tc.nr * tc.k);
+    const double tol_rel = 64.0 * kEps * cells_total + tol_x;
+    EXPECT_NEAR(sv.diff_sq, ss.diff_sq, tol_rel * (1.0 + ss.diff_sq));
+    EXPECT_NEAR(sv.new_sq, ss.new_sq, tol_rel * (1.0 + ss.new_sq));
+    EXPECT_NEAR(sv.l21, ss.l21, tol_rel * (1.0 + ss.l21));
+    // Shrunk rows are exact +0 on both tables.
+    for (index_t cell = 0; cell < xs.rows(); ++cell) {
+      if (xs(cell, 0) == cxd{} && xv(cell, 0) == cxd{}) {
+        EXPECT_FALSE(std::signbit(xv(cell, 0).real())) << "cell " << cell;
+      }
+    }
+  }
+}
+
+TEST_F(BackendDifferential, FistaPassTouchesOnlyItsColumns) {
+  // A pass over ToA columns [1, 3) writes exactly those columns' cells
+  // of x_new and b: the masked cell tail must not spill into the next
+  // column's cells.
+  auto rng = rt::make_rng(709);
+  const FistaPassCase tc(3, 7, 5, 2, rng);
+  const cxd sentinel{1234.5, -678.25};
+  for (const Backend* be : {&scalar(), simd_}) {
+    CMat x_new(tc.nl * tc.nr, tc.k, sentinel);
+    CMat b(tc.m * tc.k, tc.nr, sentinel);
+    FistaSums sums;
+    be->fista_pass(tc.bind(x_new, b), 1, 3, sums);
+    for (index_t c = 0; c < tc.k; ++c) {
+      for (index_t cell = 0; cell < x_new.rows(); ++cell) {
+        const bool inside = cell >= tc.nl && cell < 3 * tc.nl;
+        EXPECT_EQ(x_new(cell, c) != sentinel, inside)
+            << be->name << " cell " << cell << " snapshot " << c;
+      }
+    }
+    for (index_t j = 0; j < tc.nr; ++j) {
+      EXPECT_EQ(b(0, j) != sentinel, j == 1 || j == 2) << be->name << " col " << j;
+    }
+  }
+}
+
+TEST_F(BackendDifferential, FistaPassFallsBackToScalarBeyondItsLanes) {
+  // More partials than the simd kernel keeps in registers (M * K > 64)
+  // or more antennas than kSmallRowLimit: the simd entry runs the
+  // scalar kernel, so the outputs are bit-identical.
+  auto rng = rt::make_rng(710);
+  for (const auto& [m, k] : {std::pair<index_t, index_t>{5, 14},
+                             std::pair<index_t, index_t>{17, 1}}) {
+    const FistaPassCase tc(m, 9, 3, k, rng);
+    CMat xs(tc.nl * tc.nr, tc.k), xv = xs;
+    CMat bs(tc.m * tc.k, tc.nr), bv = bs;
+    FistaSums ss, sv;
+    scalar().fista_pass(tc.bind(xs, bs), 0, tc.nr, ss);
+    simd_->fista_pass(tc.bind(xv, bv), 0, tc.nr, sv);
+    EXPECT_EQ(0, std::memcmp(xs.data(), xv.data(),
+                             static_cast<std::size_t>(xs.size()) * sizeof(cxd)));
+    EXPECT_EQ(0, std::memcmp(bs.data(), bv.data(),
+                             static_cast<std::size_t>(bs.size()) * sizeof(cxd)));
+    EXPECT_EQ(ss.l21, sv.l21);
   }
 }
 

@@ -55,7 +55,7 @@ TEST(Matrix, RowVecAndSetCol) {
   EXPECT_EQ(r0.size(), 2);
   EXPECT_NEAR(std::abs(r0[1] - cxd{1.0, 0.0}), 0.0, 1e-15);
   EXPECT_THROW(m.set_col(0, CVec(3)), std::invalid_argument);
-  EXPECT_THROW(m.col(5), std::out_of_range);
+  EXPECT_THROW((void)m.col(5), std::out_of_range);
 }
 
 TEST(Matrix, TransposeAndAdjointDifferOnComplex) {

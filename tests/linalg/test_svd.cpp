@@ -47,7 +47,9 @@ TEST(Svd, SingularValuesDescendingAndNonNegative) {
   const SvdResult s = svd(a);
   for (index_t i = 0; i < s.singular_values.size(); ++i) {
     EXPECT_GE(s.singular_values[i], 0.0);
-    if (i > 0) EXPECT_LE(s.singular_values[i], s.singular_values[i - 1] + 1e-12);
+    if (i > 0) {
+      EXPECT_LE(s.singular_values[i], s.singular_values[i - 1] + 1e-12);
+    }
   }
 }
 

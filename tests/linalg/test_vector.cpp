@@ -55,7 +55,7 @@ TEST(Vector, AdditionAndSubtraction) {
 TEST(Vector, SizeMismatchThrows) {
   RVec a(2), b(3);
   EXPECT_THROW(a += b, std::invalid_argument);
-  EXPECT_THROW(dot(CVec(2), CVec(3)), std::invalid_argument);
+  EXPECT_THROW((void)dot(CVec(2), CVec(3)), std::invalid_argument);
   CVec y(3);
   EXPECT_THROW(axpy(cxd{1.0, 0.0}, CVec(2), y), std::invalid_argument);
 }

@@ -73,8 +73,8 @@ TEST(ModelOrder, UnderestimatesAtVeryLowSnrMdl) {
 }
 
 TEST(ModelOrder, InvalidInputsThrow) {
-  EXPECT_THROW(estimate_model_order(RVec(1), 10), std::invalid_argument);
-  EXPECT_THROW(estimate_model_order(RVec(4), 0), std::invalid_argument);
+  EXPECT_THROW((void)estimate_model_order(RVec(1), 10), std::invalid_argument);
+  EXPECT_THROW((void)estimate_model_order(RVec(4), 0), std::invalid_argument);
 }
 
 TEST(ModelOrder, HandlesRankDeficientCovariance) {

@@ -30,8 +30,8 @@ TEST(PowerMethod, ZeroOperator) {
 
 TEST(PowerMethod, NonPositiveIterationsThrow) {
   const DenseOperator op(CMat(4, 4));
-  EXPECT_THROW(operator_norm_sq(op, 0), std::invalid_argument);
-  EXPECT_THROW(operator_norm_sq(op, -5), std::invalid_argument);
+  EXPECT_THROW((void)operator_norm_sq(op, 0), std::invalid_argument);
+  EXPECT_THROW((void)operator_norm_sq(op, -5), std::invalid_argument);
 }
 
 TEST(PowerMethod, DefaultEstimateTightForKroneckerSteeringOperator) {
@@ -249,51 +249,6 @@ TEST(GroupSolver, SingleColumnMatchesVectorSolver) {
   ym.set_col(0, y);
   const GroupSolveResult rg = solve_group_l1(op, ym, cfg);
   rt::expect_vec_near(rg.x.col_vec(0), rv.x, 1e-4, "group == vector for k=1");
-}
-
-TEST(GroupSolver, ApplyReuseMatchesDirectIterates) {
-  // The momentum identity S z = (1 + beta) S x_new - beta S x_prev must
-  // reproduce the direct 3-application path to solver tolerance: run
-  // both at a fixed iteration count (tolerance 0 so neither stops
-  // early) and compare iterates and per-iteration objectives.
-  auto rng = rt::make_rng(91);
-  const CMat s = rt::random_cmat(10, 40, rng);
-  const DenseOperator op(s);
-  const CMat y = rt::random_cmat(10, 3, rng);
-  SolveConfig cfg;
-  cfg.kappa_ratio = 0.1;
-  cfg.max_iterations = 300;
-  cfg.tolerance = 0.0;
-  cfg.reuse_applies = true;
-  const GroupSolveResult reuse = solve_group_l1(op, y, cfg);
-  cfg.reuse_applies = false;
-  const GroupSolveResult direct = solve_group_l1(op, y, cfg);
-  EXPECT_EQ(reuse.iterations, direct.iterations);
-  EXPECT_EQ(reuse.kappa, direct.kappa);
-  rt::expect_mat_near(reuse.x, direct.x, 1e-6, "reuse == direct");
-  ASSERT_EQ(reuse.objective.size(), direct.objective.size());
-  for (std::size_t i = 0; i < reuse.objective.size(); ++i) {
-    EXPECT_NEAR(reuse.objective[i], direct.objective[i],
-                1e-6 * (1.0 + std::abs(direct.objective[i])))
-        << "objective at " << i;
-  }
-}
-
-TEST(Fista, ApplyReuseMatchesDirectIterates) {
-  auto rng = rt::make_rng(92);
-  const CMat s = rt::random_cmat(9, 36, rng);
-  const DenseOperator op(s);
-  const CVec y = rt::random_cvec(9, rng);
-  SolveConfig cfg;
-  cfg.kappa_ratio = 0.1;
-  cfg.max_iterations = 300;
-  cfg.tolerance = 0.0;
-  cfg.reuse_applies = true;
-  const SolveResult reuse = solve_l1(op, y, cfg);
-  cfg.reuse_applies = false;
-  const SolveResult direct = solve_l1(op, y, cfg);
-  EXPECT_EQ(reuse.iterations, direct.iterations);
-  rt::expect_vec_near(reuse.x, direct.x, 1e-6, "reuse == direct");
 }
 
 TEST(GroupSolver, InvalidInputsThrow) {

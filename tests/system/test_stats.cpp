@@ -51,10 +51,10 @@ TEST(BootstrapCi, HigherConfidenceIsWider) {
 TEST(BootstrapCi, InvalidInputsThrow) {
   auto rng = rt::make_rng(1014);
   std::vector<double> empty;
-  EXPECT_THROW(bootstrap_median_ci(empty, rng), std::invalid_argument);
+  EXPECT_THROW((void)bootstrap_median_ci(empty, rng), std::invalid_argument);
   std::vector<double> ok = {1.0, 2.0};
-  EXPECT_THROW(bootstrap_median_ci(ok, rng, 1.5), std::invalid_argument);
-  EXPECT_THROW(bootstrap_median_ci(ok, rng, 0.95, 2), std::invalid_argument);
+  EXPECT_THROW((void)bootstrap_median_ci(ok, rng, 1.5), std::invalid_argument);
+  EXPECT_THROW((void)bootstrap_median_ci(ok, rng, 0.95, 2), std::invalid_argument);
 }
 
 TEST(BootstrapCi, RegressionPinsPercentileIndexing) {
@@ -167,7 +167,7 @@ TEST(KsStatistic, GrowsWithDistributionShift) {
 
 TEST(KsStatistic, EmptyThrows) {
   const Cdf a({1.0});
-  EXPECT_THROW(ks_statistic(a, Cdf{}), std::invalid_argument);
+  EXPECT_THROW((void)ks_statistic(a, Cdf{}), std::invalid_argument);
 }
 
 }  // namespace
